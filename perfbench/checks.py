@@ -78,18 +78,27 @@ def results_digest(entries: dict[str, dict], keys) -> str:
 # -- paper-quick ------------------------------------------------------------
 
 
-def quick_grid(seed: int, figures: list[str] | None) -> list:
-    """The sweep cells ``experiments --profile quick`` evaluates, in order."""
-    import_program()
-    from repro.experiments.paper import _figure_specs, resolve_figure_params
-    from repro.sweep import SweepRunner
+def quick_grid(seed: int, figures: list[str] | None, cache_dir: Path) -> list:
+    """The sweep cells ``experiments --profile quick`` evaluates, in order.
 
-    specs = _figure_specs(SweepRunner(), seed)
-    cells = []
-    for name, params in resolve_figure_params(specs, "quick", figures, None):
-        if specs[name].cells is not None:
-            cells.extend(specs[name].cells(**params))
-    return cells
+    Recorded from the public ``run_figures`` function on a runner that
+    reads ``cache_dir``: on the cold pass's cache it simulates nothing.
+    """
+    import_program()
+    from repro.experiments.paper import run_figures
+    from repro.sweep import ScenarioGrid, SweepRunner
+
+    recorded = []
+
+    class Recorder(SweepRunner):
+        def run(self, grid):
+            cells = grid.cells() if isinstance(grid, ScenarioGrid) else list(grid)
+            recorded.extend(cells)
+            return super().run(cells)
+
+    run_figures(Recorder(n_jobs=1, cache_dir=cache_dir), profile="quick", figures=figures,
+                seed=seed)
+    return recorded
 
 
 def fig8_unsupported_keys(seed: int) -> set[str]:
@@ -139,7 +148,8 @@ def check_quick_cold(
     from repro.sweep.cache import cell_key
     from tests.sim.reference_engine import reference_run
 
-    cells = quick_grid(seed, figures)
+    entries = read_entries(cache_dir)
+    cells = quick_grid(seed, figures, cache_dir)
     keyed = [(cell_key(c.config, c.policy), c) for c in cells]
     distinct = {}
     for key, cell in keyed:
@@ -154,7 +164,6 @@ def check_quick_cold(
     checks.expect(stats["misses"] == len(distinct), abs(stats["misses"] - len(distinct)) or 1,
                   f"cold pass missed {stats['misses']}, expected {len(distinct)} distinct cells")
 
-    entries = read_entries(cache_dir)
     missing = [k for k in distinct if k not in entries]
     checks.expect(not missing, len(missing), "cells without a cache entry after the cold pass")
 

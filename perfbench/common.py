@@ -121,17 +121,6 @@ def fresh_dir(path: Path) -> Path:
     return path
 
 
-def time_import(module: str, reps: int, tag: str) -> list[float]:
-    """Wall times of ``reps`` fresh interpreters that only import ``module``."""
-    walls = []
-    for i in range(reps):
-        run = run_child(python("-c", f"import {module}"), f"{tag}-{i}")
-        if not run.ok:
-            raise RuntimeError(f"import {module} failed:\n{run.stderr}")
-        walls.append(run.wall_s)
-    return walls
-
-
 # -- statistics -----------------------------------------------------------
 
 

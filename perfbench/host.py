@@ -3,8 +3,8 @@
 The record (an annotation, not a metric) names the interpreter, numpy
 and numba. The calibration is a fixed numpy plus pure-Python program,
 timed before every timed operation of a run; its median wall is printed
-with the record, and :class:`HostClock` uses it to report every time at
-one reference host speed.
+with the record, and :class:`HostClock` uses its lower quartile to report
+every time at one reference host speed.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import importlib.util
 import os
 import platform
+import statistics
 
-from common import ChildRun, median, python, run_child
+from common import ChildRun, python, run_child
 
 #: A fixed program of the same kind as the benchmarked one: interpreter
 #: start, ``import numpy``, a permutation gather and argsort over arrays
@@ -42,13 +43,17 @@ class HostClock:
 
     The host is shared: its speed drifts by tens of percent over
     minutes. A calibration runs before every timed operation, and once
-    after the last (:meth:`finish`). An operation's *slowdown* is the
-    median of the calibration walls around it — two before it, four
-    from it on — over :data:`REFERENCE_S`. Dividing its wall time by
-    that reports it at the reference speed: a slower program still
-    reads slower, a slower host does not. Short operations are
-    normalized by the host's speed at that moment, long ones by its
-    speed across them.
+    after the last (:meth:`finish`). The run's *slowdown* is the lower
+    quartile of all its calibration walls over :data:`REFERENCE_S`.
+    Dividing a wall time by it reports that time at the reference
+    speed: a slower program still reads slower, a slower host does not.
+
+    One factor serves the whole run, and it is a low quantile, because
+    single calibrations sit on a floor with frequent transient spikes of
+    up to 60% while the workloads' walls stay steady within a run. A
+    per-operation median of a few nearby samples followed the spikes:
+    it spread paper-scale's sweep rate 22% over five seeds where the raw
+    sweep walls spread 10%, and the lower quartile 8%.
     """
 
     def __init__(self, tag: str) -> None:
@@ -62,23 +67,24 @@ class HostClock:
         self.samples.append(run.wall_s)
         return run.wall_s
 
-    def mark(self) -> int:
-        """Calibrate before a timed operation; returns the operation's mark."""
-        self.sample()
-        return len(self.samples) - 1
-
     def finish(self) -> None:
         """Calibrate after the last timed operation."""
         self.sample()
 
-    def slowdown(self, mark: int) -> float:
-        """The host's slowdown around the operation at ``mark``."""
-        return median(self.samples[max(0, mark - 2): mark + 4]) / REFERENCE_S
+    def slowdown(self) -> float:
+        """The host's slowdown over the run so far."""
+        if len(self.samples) < 2:
+            return min(self.samples) / REFERENCE_S
+        return statistics.quantiles(self.samples, n=4)[0] / REFERENCE_S
 
-    def run(self, argv: list[str], tag: str) -> tuple[ChildRun, int]:
-        """Calibrate, then run a timed child: (run, mark)."""
-        mark = self.mark()
-        return run_child(argv, tag), mark
+    def normalized(self, wall_s: float) -> float:
+        """``wall_s`` at the reference host speed."""
+        return wall_s / self.slowdown()
+
+    def run(self, argv: list[str], tag: str) -> ChildRun:
+        """Calibrate, then run a timed child."""
+        self.sample()
+        return run_child(argv, tag)
 
 
 def host_record() -> dict:

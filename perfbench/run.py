@@ -2,7 +2,7 @@
 
 Usage (from the checkout root)::
 
-    python3 perfbench/run.py --workload paper-quick --seed 1 --seconds 28 --trace 0
+    python3 perfbench/run.py --workload paper-quick --seed 1 --seconds 20 --trace 0
 
 Workloads: ``paper-quick``, ``query-warm``, ``paper-scale`` (see
 ``perfbench/README.md``). ``--trace 0`` measures the end-to-end metrics

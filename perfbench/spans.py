@@ -235,17 +235,15 @@ def install(tracer: Tracer) -> None:
     ):
         _rebind(fn, tracer.wrap(fn, name))
 
-    # Figures: each FigureSpec.build, around its sweep.
-    original_specs = paper._figure_specs
+    # Figures: each FigureSpec.build, around its sweep. The public
+    # FigureSpec name is rebound to a factory whose specs wrap ``build``.
+    figure_spec = paper.FigureSpec
 
-    def traced_specs(*args, **kwargs):
-        specs = original_specs(*args, **kwargs)
-        return {
-            key: dataclasses.replace(spec, build=tracer.wrap(spec.build, "experiments.figure"))
-            for key, spec in specs.items()
-        }
+    def traced_spec(*args, **kwargs):
+        spec = figure_spec(*args, **kwargs)
+        return dataclasses.replace(spec, build=tracer.wrap(spec.build, "experiments.figure"))
 
-    _rebind(original_specs, traced_specs)
+    _rebind(figure_spec, traced_spec)
 
     # Kernel bundles: every callable field of a resolved bundle.
     original_resolve = sim_backends.resolve_kernel_backend

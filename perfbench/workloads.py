@@ -41,7 +41,6 @@ from common import (
     repro,
     run_child,
     tail,
-    time_import,
 )
 from host import HostClock
 
@@ -74,10 +73,21 @@ def per_layer_units() -> dict[str, str]:
 
 #: Fresh-interpreter imports timed per set-up figure (median reported).
 IMPORT_REPS = 3
-#: What each CLI command imports once it runs (``repro.cli`` itself is
-#: lazy); ``import.repro_s`` times these in a fresh interpreter.
+#: What each workload's entry point imports once it runs (``repro.cli``
+#: itself is lazy). ``setup_s`` and ``import.repro_s`` time these in a
+#: fresh interpreter.
 QUICK_MODULES = "repro.cli, repro.experiments.paper"
 QUERY_MODULES = "repro.cli, repro.api"
+SCALE_MODULES = "repro.api"
+#: paper-quick's warm phase after its cold pass: a fixed number of warm
+#: passes and one-figure queries, one warm pass to every two queries, so
+#: every run takes the same number of samples whatever the host's speed.
+QUICK_WARM_PASSES = 3
+QUICK_QUERIES = 4
+#: paper-scale's floor: on a busy 2-vCPU host a sweep takes 7 s, so a
+#: 20-second budget alone fits two, and a median of two is their mean.
+SCALE_MIN_SWEEPS = 3
+SCALE_WARM_PASSES = 3
 WORKER = Path(__file__).resolve().parent / "worker.py"
 
 
@@ -125,28 +135,37 @@ def spans_path(workload: str, seed: int) -> Path:
     return TRACES / f"{workload}-seed{seed}.json"
 
 
-def _setup_imports(clock: HostClock, module: str) -> list[tuple[ChildRun, int]]:
-    """Fresh interpreters importing ``module``, each after a calibration."""
-    runs = [clock.run(python("-c", f"import {module}"), f"import-{i}") for i in range(IMPORT_REPS)]
-    for run, _ in runs:
-        _require(run, f"import {module}")
+def _setup_imports(clock: HostClock, modules: str) -> list[ChildRun]:
+    """Fresh interpreters importing ``modules``, each after a calibration."""
+    runs = [clock.run(python("-c", f"import {modules}"), f"import-{modules}-{i}")
+            for i in range(IMPORT_REPS)]
+    for run in runs:
+        _require(run, f"import {modules}")
     return runs
 
 
-def _normalized(clock: HostClock, timed: list[tuple[ChildRun, int]]) -> list[float]:
+def _normalized(clock: HostClock, runs: list[ChildRun]) -> list[float]:
     """Wall times of timed children at the reference host speed."""
-    return [run.wall_s / clock.slowdown(mark) for run, mark in timed]
+    return [clock.normalized(run.wall_s) for run in runs]
 
 
 def _relative(path: Path) -> str:
     return str(path.relative_to(ROOT))
 
 
-def _layer_metrics(traced: dict, modules: str, overhead_s: float, checks: Checks) -> dict:
-    """Per-layer metrics of a traced run; ``modules`` is what its command imports."""
+def _layer_metrics(traced: dict, clock: HostClock, modules: str, overhead_s: float,
+                   checks: Checks) -> dict:
+    """Per-layer metrics of a traced run; ``modules`` is what its command imports.
+
+    The import figures are timed as ``setup_s`` times its imports, so
+    they read on the same (reference-speed) scale.
+    """
+    entry = _setup_imports(clock, modules)
+    numpy = _setup_imports(clock, "numpy")
+    clock.finish()
     metrics = {
-        "import.repro_s": median(time_import(modules, 3, "import-entry")),
-        "import.numpy_s": median(time_import("numpy", 3, "import-numpy")),
+        "import.repro_s": median(_normalized(clock, entry)),
+        "import.numpy_s": median(_normalized(clock, numpy)),
         **traced["metrics"],
         "trace.overhead_s": overhead_s,
         "failed_frac": checks.failed_frac,
@@ -163,14 +182,7 @@ def paper_quick(seed: int, seconds: float, trace: bool, tiny: bool = False,
     query_figure = "fig15" if tiny else "fig8"
     base = ["experiments", "--profile", "quick", "--jobs", "1", "--seed", str(seed)]
     passes = base + (["--figures", ",".join(figures)] if figures else [])
-
-    # Set-up: a fresh interpreter importing the entry module, plus the
-    # input generation (here only the fresh cache directory).
     clock = HostClock("quick")
-    imports = _setup_imports(clock, "repro.cli")
-    gen = time.perf_counter()
-    cache = fresh_dir(WORK / "quick-cache")
-    gen_s = time.perf_counter() - gen
     checks = Checks()
 
     if trace:
@@ -190,23 +202,28 @@ def paper_quick(seed: int, seconds: float, trace: bool, tiny: bool = False,
         overhead = sum(p["wall_s"] for p in traced["passes"]) - sum(
             p["wall_s"] for p in plain["passes"]
         )
-        return Report(_layer_metrics(traced, QUICK_MODULES, overhead, checks), checks,
+        return Report(_layer_metrics(traced, clock, QUICK_MODULES, overhead, checks), checks,
                       {"digest": result_digest, "trace": _relative(spans_path("paper-quick", seed)),
                        "calibration_s": clock.samples})
 
-    begin = time.perf_counter()
-    cold, cold_mark = clock.run(repro(*passes, "--cache-dir", str(cache)), "quick-cold")
+    # Set-up: fresh interpreters importing what the command loads, plus
+    # the input generation (here only the fresh cache directory).
+    imports = _setup_imports(clock, QUICK_MODULES)
+    gen = time.perf_counter()
+    cache = fresh_dir(WORK / "quick-cache")
+    gen_s = time.perf_counter() - gen
+
+    cold = clock.run(repro(*passes, "--cache-dir", str(cache)), "quick-cold")
     _require(cold, "cold pass")
-    # Then warm passes and one-figure queries, one warm pass to every two
-    # queries, while the next one fits the time budget (at least one each).
-    warm_runs: list[tuple[ChildRun, int]] = []
-    queries: list[tuple[ChildRun, int]] = []
-
-    def fits(runs: list[tuple[ChildRun, int]]) -> bool:
-        return time.perf_counter() - begin + (runs[-1][0].wall_s if runs else 0.0) <= seconds
-
-    while not queries or (fits(warm_runs) and fits(queries)):
-        if len(warm_runs) * 2 <= len(queries):
+    # Then the warm phase: warm passes and one-figure queries, one warm
+    # pass to every two queries. The cold pass alone takes most of a
+    # 20-second budget, so the phase is a fixed count, not a time budget.
+    n_warm, n_queries = (1, 2) if tiny else (QUICK_WARM_PASSES, QUICK_QUERIES)
+    warm_runs: list[ChildRun] = []
+    queries: list[ChildRun] = []
+    while len(warm_runs) < n_warm or len(queries) < n_queries:
+        warm_turn = len(warm_runs) * 2 <= len(queries) or len(queries) == n_queries
+        if warm_turn and len(warm_runs) < n_warm:
             warm_runs.append(clock.run(repro(*passes, "--cache-dir", str(cache)),
                                        f"quick-warm-{len(warm_runs)}"))
         else:
@@ -220,11 +237,11 @@ def paper_quick(seed: int, seconds: float, trace: bool, tiny: bool = False,
         checks, seed, figures, cold.stdout, cache,
         mismatch_reference=fault == "mismatch-reference",
     )
-    for run, _ in warm_runs:
+    for run in warm_runs:
         chk.check_quick_warm(checks, n_cells, cold.stdout, run.stdout, run.ok)
-    for run, _ in queries:
+    for run in queries:
         chk.check_figure_query(checks, query_figure, cold.stdout, run.stdout, run.ok)
-    cold_s = cold.wall_s / clock.slowdown(cold_mark)
+    cold_s = clock.normalized(cold.wall_s)
     query_walls = _normalized(clock, queries)
     metrics = {
         "cells_per_s": n_cells / cold_s,
@@ -233,13 +250,13 @@ def paper_quick(seed: int, seconds: float, trace: bool, tiny: bool = False,
         "query_tail_s": tail(query_walls),
         "samples_per_s": samples / cold_s,
         "peak_rss_mb": cold.maxrss_mb,
-        "setup_s": median(_normalized(clock, imports)) + gen_s / clock.slowdown(0),
+        "setup_s": median(_normalized(clock, imports)) + clock.normalized(gen_s),
     }
     notes = {
         "digest": result_digest,
         "cold_wall_s": cold.wall_s,
-        "warm_wall_s": [run.wall_s for run, _ in warm_runs],
-        "query_wall_s": [run.wall_s for run, _ in queries],
+        "warm_wall_s": [run.wall_s for run in warm_runs],
+        "query_wall_s": [run.wall_s for run in queries],
         "samples_simulated": samples,
         "calibration_s": clock.samples,
     }
@@ -288,8 +305,8 @@ def _query_setup(seed: int, count: int, rep: int,
                  clock: HostClock) -> tuple[float, Path, list[dict], dict]:
     """Draw the scenarios and warm a fresh cache with one sweep.
 
-    Returns (generation + warm-up seconds at the reference host speed,
-    cache dir, scenarios, the manifest the warm-up wrote).
+    Returns (generation + warm-up wall seconds, cache dir, scenarios,
+    the manifest the warm-up wrote).
     """
     start = time.perf_counter()
     root = fresh_dir(WORK / f"query-{rep}")
@@ -299,21 +316,20 @@ def _query_setup(seed: int, count: int, rep: int,
     for i, scenario in enumerate(scenarios):
         (root / f"scenario-{i}.json").write_text(json.dumps(scenario))
     drawn_s = time.perf_counter() - start
-    warmup, mark = clock.run(
+    warmup = clock.run(
         repro("sweep", "run", "--scenarios", str(listing), "--jobs", "1",
               "--cache-dir", str(root / "cache"), "--manifest", str(root / "manifest.json")),
         f"query-warmup-{rep}",
     )
     _require(warmup, "warm-up sweep")
     manifest = json.loads((root / "manifest.json").read_text())
-    return (drawn_s + warmup.wall_s) / clock.slowdown(mark), root, scenarios, manifest
+    return drawn_s + warmup.wall_s, root, scenarios, manifest
 
 
 def query_warm(seed: int, seconds: float, trace: bool, tiny: bool = False,
                fault: str | None = None) -> Report:
     count = 3 if tiny else 12
     clock = HostClock("query")
-    imports = _setup_imports(clock, "repro.cli")
     setups = [_query_setup(seed, count, rep, clock) for rep in range(1 if tiny else 3)]
     _, root, scenarios, manifest = setups[-1]
     cache = root / "cache"
@@ -342,22 +358,24 @@ def query_warm(seed: int, seconds: float, trace: bool, tiny: bool = False,
         overhead = sum(a["wall_s"] for a in traced["answers"]) - sum(
             a["wall_s"] for a in plain["answers"]
         )
+        layer_metrics = _layer_metrics(traced, clock, QUERY_MODULES, overhead, checks)
         notes["trace"] = _relative(spans_path("query-warm", seed))
         notes["calibration_s"] = clock.samples
-        return Report(_layer_metrics(traced, QUERY_MODULES, overhead, checks), checks, notes)
+        return Report(layer_metrics, checks, notes)
 
+    imports = _setup_imports(clock, QUERY_MODULES)
     # The closed loop: the next request starts when the previous one ends.
     # Every fourth request is a warm `sweep run` over all drawn cells.
     warm_sweep = repro("sweep", "run", "--scenarios", str(root / "scenarios.json"),
                        "--jobs", "1", "--cache-dir", str(cache))
     begin = time.perf_counter()
-    warms: list[tuple[ChildRun, int]] = []
-    answers: list[tuple[ChildRun, int]] = []
+    warms: list[ChildRun] = []
+    answers: list[ChildRun] = []
     asked: list[int] = []
     while True:
         warm_turn = len(warms) * 3 <= len(answers)
         if answers:
-            last = warms[-1][0] if warm_turn else answers[-1][0]
+            last = warms[-1] if warm_turn else answers[-1]
             if time.perf_counter() - begin + last.wall_s > seconds:
                 break
         if warm_turn:
@@ -372,12 +390,12 @@ def query_warm(seed: int, seconds: float, trace: bool, tiny: bool = False,
         ))
     clock.finish()
 
-    for warm, _ in warms:
+    for warm in warms:
         checks.attempt(len(scenarios))
         stats = chk.sweep_stats(warm.stdout)
         checks.expect(warm.ok and stats is not None and stats["misses"] == 0, len(scenarios),
                       "warm sweep re-simulated cells")
-    for i, (run, _) in zip(asked, answers):
+    for i, run in zip(asked, answers):
         chk.check_answer(checks, keys[i], written, run.stdout, run.ok)
     samples = _scenario_samples(scenarios)
     walls = _normalized(clock, answers)
@@ -388,12 +406,13 @@ def query_warm(seed: int, seconds: float, trace: bool, tiny: bool = False,
         "query_p50_s": median(walls),
         "query_tail_s": tail(walls),
         "samples_per_s": sum(samples[i] for i in asked) / loop_s,
-        "peak_rss_mb": median([run.maxrss_mb for run, _ in answers]),
-        "setup_s": median(_normalized(clock, imports)) + median([s for s, *_ in setups]),
+        "peak_rss_mb": median([run.maxrss_mb for run in answers]),
+        "setup_s": median(_normalized(clock, imports))
+        + clock.normalized(median([s for s, *_ in setups])),
     }
     notes.update({
-        "warm_wall_s": [run.wall_s for run, _ in warms],
-        "query_wall_s": [run.wall_s for run, _ in answers],
+        "warm_wall_s": [run.wall_s for run in warms],
+        "query_wall_s": [run.wall_s for run in answers],
         "calibration_s": clock.samples,
     })
     return Report(metrics, checks, notes)
@@ -423,7 +442,6 @@ def paper_scale(seed: int, seconds: float, trace: bool, tiny: bool = False,
     cell = {"seed": seed, "system": "lassen:16" if tiny else "lassen:1024",
             "scale": 0.01 if tiny else 1.0}
     clock = HostClock("scale")
-    imports = _setup_imports(clock, "repro.api")
     checks = Checks()
 
     def args(tag):
@@ -433,7 +451,7 @@ def paper_scale(seed: int, seconds: float, trace: bool, tiny: bool = False,
 
     if trace:
         def traced_args(tag):
-            return {**args(tag), "seconds": 0.0, "max_sweeps": 1}
+            return {**args(tag), "seconds": 0.0, "min_sweeps": 1}
 
         plain, traced = _traced_pair("scale", traced_args, "paper-scale", seed)
         result_digest = _check_scale(checks, traced, [])
@@ -442,35 +460,40 @@ def paper_scale(seed: int, seconds: float, trace: bool, tiny: bool = False,
             return sum(s["wall_s"] for s in out["sweeps"])
 
         return Report(
-            _layer_metrics(traced, "repro.api", busy(traced) - busy(plain), checks), checks,
+            _layer_metrics(traced, clock, SCALE_MODULES, busy(traced) - busy(plain), checks),
+            checks,
             {"digest": result_digest, "trace": _relative(spans_path("paper-scale", seed)),
              "calibration_s": clock.samples},
         )
 
-    worker_args = {**args("paper-scale"), "seconds": seconds, "max_sweeps": 64}
+    imports = _setup_imports(clock, SCALE_MODULES)
+    worker_args = {**args("paper-scale"), "seconds": seconds,
+                   "min_sweeps": 1 if tiny else SCALE_MIN_SWEEPS}
     run, out = _worker("scale", worker_args, "paper-scale")
     # The warm pass: a fresh process asks the last sweep's question again.
     warm_argv = repro("sweep", "run", "--scenarios", worker_args["scenarios_path"],
                       "--jobs", "1", "--cache-dir", out["sweeps"][-1]["cache"])
-    warms = [clock.run(warm_argv, f"scale-warm-{i}") for i in range(2)]
+    warms = [clock.run(warm_argv, f"scale-warm-{i}") for i in range(SCALE_WARM_PASSES)]
     clock.finish()
-    result_digest = _check_scale(checks, out, [w for w, _ in warms])
-    sweep_s = median([s["norm_s"] for s in out["sweeps"]])
+    clock.samples += out["calibration_s"]
+    result_digest = _check_scale(checks, out, warms)
+    sweep_s = median([clock.normalized(s["wall_s"]) for s in out["sweeps"]])
+    cell_s = [clock.normalized(wall) for wall in out["cell_wall_s"]]
     metrics = {
-        "cells_per_s": median([s["cells"] / s["norm_s"] for s in out["sweeps"]]),
+        "cells_per_s": median([s["cells"] / clock.normalized(s["wall_s"]) for s in out["sweeps"]]),
         "warm_wall_s": median(_normalized(clock, warms)),
-        "query_p50_s": median(out["cell_norm_s"]),
-        "query_tail_s": tail(out["cell_norm_s"]),
+        "query_p50_s": median(cell_s),
+        "query_tail_s": tail(cell_s),
         "samples_per_s": out["samples_per_sweep"] / sweep_s,
         "peak_rss_mb": run.maxrss_mb,
-        "setup_s": median(_normalized(clock, imports)) + out["build_norm_s"],
+        "setup_s": median(_normalized(clock, imports)) + clock.normalized(out["build_s"]),
     }
     return Report(metrics, checks, {
         "digest": result_digest,
         "sweep_wall_s": [s["wall_s"] for s in out["sweeps"]],
-        "warm_wall_s": [w.wall_s for w, _ in warms],
+        "warm_wall_s": [w.wall_s for w in warms],
         "samples_per_sweep": out["samples_per_sweep"],
-        "calibration_s": clock.samples + out["calibration_s"],
+        "calibration_s": clock.samples,
     })
 
 
