@@ -265,9 +265,9 @@ FIG8_SEEDS = [3, 7, 11, 19, 23]
 def _run_lineup_fresh(config):
     """{(seed, policy): result} via per-cell execution.
 
-    The baseline mirrors what the executors' per-cell path
-    (``_simulate_cell``) does for every one of the grid's 15 cells:
-    deserialize the cell's config and build a fresh
+    The baseline mirrors what the process executor (one-cell batches
+    through ``_simulate_payload``) does for every one of the grid's 15
+    cells: deserialize the cell's config and build a fresh
     :class:`Simulator` — scenario context, permutations and all — for
     that single run. This is exactly the work the batched seed-sharing
     path replaces.
@@ -289,7 +289,7 @@ def _run_lineup_shared(config):
     """Same cells via one base Simulator's seed-sharing path.
 
     The base lives on the grid's first seed — exactly what the batched
-    executor does (``_simulate_batch`` builds its simulator from the
+    executor does (``_simulate_payload`` builds its simulator from the
     batch's first cell), so the base context is itself one of the
     measured cells, not bookkeeping overhead.
     """

@@ -14,8 +14,8 @@ One entry point over the whole library, built on :mod:`repro.api`:
 ``cache``
     Result-cache lifecycle: ``gc`` / ``stats`` / ``verify``.
 ``experiments``
-    The full-paper driver (figures/tables through one shared sweep);
-    identical flags to the old ``python -m repro.experiments``.
+    The full-paper driver (figures/tables through one shared sweep;
+    :func:`repro.experiments.paper.main`).
 ``search``
     Branch-and-bound (or baseline) search over a declared space:
     ``--driver bb|random|halving``, the same axis flags as ``run``
@@ -26,10 +26,6 @@ One entry point over the whole library, built on :mod:`repro.api`:
     Registry and figure listings: ``list policies | datasets |
     systems | searchers | kernels | figures`` (or no argument for
     everything).
-
-The two historical entry points — ``python -m repro.sweep`` and
-``python -m repro.experiments`` — still work as deprecated shims over
-this module.
 """
 
 from __future__ import annotations

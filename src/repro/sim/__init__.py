@@ -28,8 +28,6 @@ from .policies import (
     PreparedPolicy,
     StagingBufferPolicy,
     WorkerLookup,
-    fig8_policies,
-    table1_policies,
 )
 from .result import BatchTimeStats, EpochResult, SimulationResult
 
@@ -70,6 +68,4 @@ __all__ = [
     "LBANNPolicy",
     "LocalityAwarePolicy",
     "NoPFSPolicy",
-    "fig8_policies",
-    "table1_policies",
 ]

@@ -72,8 +72,9 @@ class ScenarioContext:
             <= _perm_cache_max_elements()
         )
         #: Rolling one-epoch slot (:meth:`hold_epoch`) for cache-disabled
-        #: scenarios: ``(epoch, views)`` or ``None``.
-        self._held: tuple[int, tuple[np.ndarray, np.ndarray]] | None = None
+        #: scenarios: ``(epoch, views)``, with ``views`` filled on the
+        #: first request, or ``None``.
+        self._held: tuple[int, tuple[np.ndarray, np.ndarray] | None] | None = None
         #: Epoch permutations actually generated (cache hits and the
         #: held slot don't count) — the sharing proof for epoch-major
         #: ``run_many`` at paper scale, where this must stay at E, not
@@ -109,7 +110,8 @@ class ScenarioContext:
         cached = self._epoch_cache.get(epoch)
         if cached is not None:
             return cached
-        if self._held is not None and self._held[0] == epoch:
+        held = self._held is not None and self._held[0] == epoch
+        if held and self._held[1] is not None:
             return self._held[1]
         self.perm_builds += 1
         batches = self.stream.epoch_batches(epoch)
@@ -126,27 +128,27 @@ class ScenarioContext:
         views = (matrix.reshape(n, t, b).transpose(1, 0, 2), matrix)
         if self._cache_enabled:
             self._epoch_cache[epoch] = views
+        elif held:
+            self._held = (epoch, views)
         return views
 
     def hold_epoch(self, epoch: int) -> None:
         """Pin ``epoch``'s permutation in a rolling single-epoch slot.
 
-        The epoch-major :meth:`~repro.sim.engine.Simulator.run_many`
-        loop calls this at the top of each epoch so every policy's
+        The epoch-major loop (:meth:`~repro.sim.engine.Simulator.run_many_outcomes`)
+        calls this at the top of each epoch so every policy's
         :meth:`epoch_matrix` request is served from one materialization
         even when :attr:`cache_enabled` is off — permutations are built
-        once per epoch, not once per (policy, epoch). Holding a new
-        epoch releases the previous one first, so peak memory stays at
-        ~one epoch's matrices at paper scale. A no-op (beyond priming
-        the persistent cache) when :attr:`cache_enabled` is on.
+        once per epoch, not once per (policy, epoch). The hold is lazy:
+        it records the epoch and drops the previous slot, and the first
+        request builds the permutation, so an epoch no policy reads is
+        never built. Peak memory stays at ~one epoch's matrices at
+        paper scale. A no-op when :attr:`cache_enabled` is on.
         """
         if self._cache_enabled:
-            self._epoch_views(epoch)
             return
-        if self._held is not None and self._held[0] == epoch:
-            return
-        self._held = None
-        self._held = (epoch, self._epoch_views(epoch))
+        if self._held is None or self._held[0] != epoch:
+            self._held = (epoch, None)
 
     def release_held_epoch(self) -> None:
         """Drop the rolling slot (the epoch-major loop's cleanup)."""

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -255,6 +255,15 @@ class SeedShareStats:
     variants: int = 0
 
 
+def _result_or_raise(
+    outcome: "SimulationResult | PolicyError",
+) -> SimulationResult:
+    """A one-policy outcome as a result, raising its PolicyError."""
+    if isinstance(outcome, PolicyError):
+        raise outcome
+    return outcome
+
+
 class Simulator:
     """Evaluates I/O policies on one scenario (dataset x system x E x B).
 
@@ -311,9 +320,12 @@ class Simulator:
     # -- public API --------------------------------------------------------
 
     def run(self, policy: Policy) -> SimulationResult:
-        """Simulate ``policy`` and return its full result."""
-        prep = policy.prepare(self.ctx)
-        return self._run_prepared(policy, prep)
+        """Simulate ``policy`` and return its full result.
+
+        The one-policy case of :meth:`run_many_outcomes`; raises the
+        :class:`~repro.errors.PolicyError` of an unsupported policy.
+        """
+        return _result_or_raise(self.run_many_outcomes([policy])[0])
 
     def run_many(self, policies: list[Policy]) -> dict[str, SimulationResult]:
         """Simulate several policies, skipping unsupported ones.
@@ -338,44 +350,50 @@ class Simulator:
     ) -> "list[SimulationResult | PolicyError]":
         """Epoch-major evaluation: one outcome per input policy, aligned.
 
-        Unlike :meth:`run_many`'s policy-major predecessor (every
-        policy walking all ``E`` epochs before the next policy starts),
-        this prepares every policy up front and then iterates **epochs
-        outermost**: each epoch's ``(N, L)`` permutation is pinned in
-        the context's rolling slot (:meth:`ScenarioContext.hold_epoch`),
-        its size gather and noise RNG states land in the plan cache,
-        and every surviving policy's plan/execute for that epoch runs
-        against them. At paper scale — where
-        :attr:`ScenarioContext.cache_enabled` is off and the old order
-        regenerated every multi-hundred-MB permutation once per policy
-        — the shared work is now materialized once per epoch (``E``
-        builds, not ``E x P``; :attr:`ScenarioContext.perm_builds`
-        proves it) while memory stays bounded to ~one epoch's matrices.
+        The simulator's one execution loop. It prepares every policy up
+        front and then iterates **epochs outermost**: each epoch's
+        ``(N, L)`` permutation is pinned in the context's rolling slot
+        (:meth:`ScenarioContext.hold_epoch`), its size gather and noise
+        RNG states land in the plan cache, and every surviving policy's
+        plan/execute for that epoch runs against them. At paper scale —
+        where :attr:`ScenarioContext.cache_enabled` is off — the shared
+        work is materialized once per epoch (at most ``E`` builds, not
+        ``E x P``; :attr:`ScenarioContext.perm_builds` proves it) while
+        memory stays bounded to ~one epoch's matrices.
 
-        Per-policy results are bitwise identical to :meth:`run`: every
-        shared value is a pure function of ``(epoch, scenario)`` and
-        the noise streams rewind to the same derived states, so
-        iteration order cannot change a bit (pinned by
-        ``tests/sim/test_run_many.py``). A policy raising
+        Per-policy results do not depend on the lineup: every shared
+        value is a pure function of ``(epoch, scenario)`` and the noise
+        streams rewind to the same derived states, so iteration order
+        cannot change a bit (pinned against the frozen reference engine
+        by ``tests/sim/test_run_many.py``). A policy raising
         :class:`~repro.errors.PolicyError` — at prepare time or
-        mid-epoch — yields that error in its slot (the same error the
-        per-policy run would raise) without disturbing its siblings.
+        mid-epoch — yields that error in its slot without disturbing
+        its siblings.
+        """
+        slots = self._prepare_slots(policies, lambda policy: policy.prepare(self.ctx))
+        return self._run_epoch_major(slots)
+
+    def _prepare_slots(
+        self, policies: list[Policy], prepare: Callable[[Policy], PreparedPolicy]
+    ) -> "list[tuple[Policy, PreparedPolicy] | PolicyError]":
+        """``(policy, prepare(policy))`` per policy, or its PolicyError.
+
+        Placement-building prepares (DeepIO, LBANN) gather epoch 0;
+        holding it through the prepare phase keeps the cache-disabled
+        build count at one per epoch even counting preparation.
         """
         slots: list[tuple[Policy, PreparedPolicy] | PolicyError] = []
-        # Placement-building prepares (DeepIO, LBANN) gather epoch 0;
-        # holding it through the prepare phase keeps the cache-disabled
-        # build count at one per epoch even counting preparation.
         self.ctx.hold_epoch(0)
         try:
             for policy in policies:
                 try:
-                    slots.append((policy, policy.prepare(self.ctx)))
+                    slots.append((policy, prepare(policy)))
                 except PolicyError as exc:
                     slots.append(exc)
         except BaseException:
             self.ctx.release_held_epoch()
             raise
-        return self._run_epoch_major(slots)
+        return slots
 
     def _run_epoch_major(
         self, slots: "list[tuple[Policy, PreparedPolicy] | PolicyError]"
@@ -390,9 +408,12 @@ class Simulator:
                         continue
                     policy, prep = slot
                     try:
-                        plan = self.plan_epoch(prep, epoch)
+                        # No local keeps the plan alive into the next
+                        # epoch, so its ids never overlap the next build.
                         epoch_lists[i].append(
-                            self.execute_epoch(policy, prep, plan)
+                            self.execute_epoch(
+                                policy, prep, self.plan_epoch(prep, epoch)
+                            )
                         )
                     except PolicyError as exc:
                         slots[i] = exc
@@ -458,33 +479,12 @@ class Simulator:
     def run_seed(self, policy: Policy, seed: int) -> SimulationResult:
         """Simulate ``policy`` under ``seed``, sharing invariant state.
 
-        Policies declaring
-        :attr:`~repro.sim.policies.base.Policy.seed_invariant_prepare`
-        are prepared once on the base context and the prepared instance
-        is reused for every seed (counted in :attr:`seed_share`);
-        seed-dependent policies (stream rewriters, frequency-driven
-        placements) re-prepare on the variant's own context. Either
-        way the result is bitwise identical to
+        The one-policy case of :meth:`run_many_seed`; raises the
+        :class:`~repro.errors.PolicyError` of an unsupported policy.
+        The result is bitwise identical to
         ``Simulator(replace(config, seed=seed)).run(policy)``.
         """
-        sim = self.seed_variant(seed)
-        if not policy.seed_invariant_prepare:
-            self.seed_share.prep_misses += 1
-            return sim._run_prepared(policy, policy.prepare(sim.ctx))
-        cached = self._shared_preps.get(id(policy))
-        if cached is None:
-            self.seed_share.prep_misses += 1
-            prep = policy.prepare(self.ctx)
-            # Materialize the scalars on the base cache now, so every
-            # variant adopts them instead of recomputing per seed.
-            self.plan_cache.scalars(prep)
-            self._shared_preps[id(policy)] = (policy, prep)
-        else:
-            self.seed_share.prep_hits += 1
-            prep = cached[1]
-        if sim is not self:
-            sim.plan_cache.adopt_invariants(self.plan_cache)
-        return sim._run_prepared(policy, prep)
+        return _result_or_raise(self.run_many_seed([policy], seed)[0])
 
     def run_seeds(
         self, policy: Policy, seeds: Iterable[int]
@@ -506,47 +506,45 @@ class Simulator:
     ) -> "list[SimulationResult | PolicyError]":
         """Epoch-major :meth:`run_many_outcomes` under another seed.
 
-        The batched sweep executor's grouping hook: several policies of
-        one scenario batch that share a seed run through the variant
-        simulator's epoch-major loop, combining the seed-sharing reuse
-        of :meth:`run_seed` (shared dataset tables, shareable prepared
-        policies, adopted plan scalars — same counters) with the
-        epoch-major permutation/size/RNG sharing across the policies.
+        Policies declaring
+        :attr:`~repro.sim.policies.base.Policy.seed_invariant_prepare`
+        are prepared once on the base context and the prepared instance
+        is reused for every seed (counted in :attr:`seed_share`);
+        seed-dependent policies (stream rewriters, frequency-driven
+        placements) re-prepare on the variant's own context. The
+        variant simulator then runs them all through its epoch-major
+        loop, adding the cross-policy permutation/size/RNG sharing.
         Outcomes align with ``policies``; each is bitwise identical to
-        ``run_seed(policy, seed)``.
+        a fresh ``Simulator(replace(config, seed=seed)).run(policy)``.
         """
         sim = self.seed_variant(seed)
-        slots: list[tuple[Policy, PreparedPolicy] | PolicyError] = []
-        adopt = False
-        # Seed-dependent prepares run on the variant context; hold its
-        # epoch 0 through them (see :meth:`run_many_outcomes`).
-        sim.ctx.hold_epoch(0)
-        try:
-            for policy in policies:
-                try:
-                    if not policy.seed_invariant_prepare:
-                        self.seed_share.prep_misses += 1
-                        slots.append((policy, policy.prepare(sim.ctx)))
-                        continue
-                    cached = self._shared_preps.get(id(policy))
-                    if cached is None:
-                        self.seed_share.prep_misses += 1
-                        prep = policy.prepare(self.ctx)
-                        self.plan_cache.scalars(prep)
-                        self._shared_preps[id(policy)] = (policy, prep)
-                    else:
-                        self.seed_share.prep_hits += 1
-                        prep = cached[1]
-                    adopt = True
-                    slots.append((policy, prep))
-                except PolicyError as exc:
-                    slots.append(exc)
-        except BaseException:
-            sim.ctx.release_held_epoch()
-            raise
-        if adopt and sim is not self:
+        slots = sim._prepare_slots(
+            policies, lambda policy: self._shared_prepare(policy, sim)
+        )
+        # Propagate the scalars of preps first shared just now.
+        if sim is not self:
             sim.plan_cache.adopt_invariants(self.plan_cache)
         return sim._run_epoch_major(slots)
+
+    def _shared_prepare(self, policy: Policy, sim: "Simulator") -> PreparedPolicy:
+        """``policy`` prepared for the seed variant ``sim`` (counted).
+
+        Seed-invariant preparations are built once on this (base)
+        context, their plan scalars materialized here so every variant
+        adopts them instead of recomputing per seed.
+        """
+        if not policy.seed_invariant_prepare:
+            self.seed_share.prep_misses += 1
+            return policy.prepare(sim.ctx)
+        cached = self._shared_preps.get(id(policy))
+        if cached is not None:
+            self.seed_share.prep_hits += 1
+            return cached[1]
+        self.seed_share.prep_misses += 1
+        prep = policy.prepare(self.ctx)
+        self.plan_cache.scalars(prep)
+        self._shared_preps[id(policy)] = (policy, prep)
+        return prep
 
     # -- plan phase ----------------------------------------------------------
 
@@ -718,17 +716,4 @@ class Simulator:
             batch_stats=BatchTimeStats.from_durations(durations),
             gamma=plan.gamma,
             batch_durations=durations if cfg.record_batch_times else None,
-        )
-
-    def _run_prepared(self, policy: Policy, prep: PreparedPolicy) -> SimulationResult:
-        epoch_results = [
-            self.execute_epoch(policy, prep, self.plan_epoch(prep, epoch))
-            for epoch in range(self.config.num_epochs)
-        ]
-        return SimulationResult(
-            policy=policy.name,
-            scenario=self.config.scenario,
-            prestage_time_s=prep.prestage_time_s,
-            accesses_full_dataset=prep.accesses_full_dataset,
-            epochs=tuple(epoch_results),
         )

@@ -1,11 +1,14 @@
-"""``python -m repro.sweep`` — sharded sweeps and cache lifecycle.
+"""Sharded sweeps and cache lifecycle: the ``sweep`` and ``cache`` commands.
 
+:mod:`repro.cli` mounts ``run``/``merge`` as ``python -m repro sweep``
+and ``gc``/``stats``/``verify`` as ``python -m repro cache``;
+:func:`main` parses all five under one parser for library callers.
 Subcommands:
 
 ``run``
     Evaluate a grid (or one shard of it) through a
     :class:`~repro.sweep.runner.SweepRunner`:
-    ``python -m repro.sweep run --grid repro.sweep.cli:demo_grid
+    ``python -m repro sweep run --grid repro.sweep.cli:demo_grid
     --shard 0/3 --cache-dir shard0 --manifest shard0.json``.
     ``--grid`` names any importable ``module:attr`` that is a
     :class:`~repro.sweep.grid.ScenarioGrid`, a list of
@@ -335,8 +338,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def configure_run(sub) -> argparse.ArgumentParser:
     """Attach the ``run`` subcommand (sweep a grid or one shard of it).
 
-    Shared by the legacy ``python -m repro.sweep`` parser and the
-    consolidated ``python -m repro sweep`` tree (:mod:`repro.cli`).
+    Shared by :func:`main`'s parser and the ``python -m repro sweep``
+    tree (:mod:`repro.cli`).
     """
     run = sub.add_parser("run", help="sweep a grid (or one shard of it)")
     run.add_argument(
@@ -440,7 +443,7 @@ def configure_verify(sub) -> argparse.ArgumentParser:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.sweep",
+        prog="repro.sweep.cli",
         description="Sharded scenario sweeps and result-cache lifecycle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -453,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """Run one subcommand from ``argv``; returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,50 +1,50 @@
 """Pluggable sweep execution: the :class:`Executor` protocol.
 
-:class:`~repro.sweep.runner.SweepRunner` no longer hard-wires *how*
+:class:`~repro.sweep.runner.SweepRunner` does not hard-wire *how*
 cache misses get simulated — it hands the pending cells to an executor
-and records whatever comes back. Three implementations ship:
+and records whatever comes back. Every executor simulates through one
+function, :func:`_simulate`: given a scenario's
+:class:`~repro.sim.engine.Simulator` and a list of ``(index, policy,
+seed)`` cells, it runs each run of same-seed cells through the engine's
+epoch-major :meth:`~repro.sim.engine.Simulator.run_many_seed`, re-runs
+a crashed group one cell at a time, and returns the finished cells
+plus the failure, if any. Three executors differ only in where that
+function runs and what each call gets:
 
 ``serial`` (:class:`SerialExecutor`)
-    In-process, one cell at a time — easiest to debug/profile. One
-    shared :class:`~repro.sim.engine.Simulator` per scenario reuses the
-    expensive access streams across consecutive cells on the same
-    config (Fig 8's nine policies on one scenario build their streams
-    once), keeping only the *current* scenario's streams alive.
+    In-process — easiest to debug/profile. Consecutive cells on one
+    config object share one ``Simulator`` built from the live config,
+    keeping only the *current* scenario's streams alive.
 
 ``process`` (:class:`ProcessExecutor`)
     One cell per :class:`~concurrent.futures.ProcessPoolExecutor`
-    task. Maximum scheduling freedom, but every cell pays a fresh
-    ``Simulator`` — the access streams are rebuilt per *cell*.
+    task. Every cell pays a fresh ``Simulator``, but it is the only
+    executor that spreads one scenario's cells over several workers.
 
 ``batched`` (:class:`BatchedExecutor`) — **the default when
 ``n_jobs > 1``**
     Groups cells by their *seed-invariant* scenario fingerprint (the
-    canonical serialized config minus ``seed``) and dispatches whole
-    *scenario batches* to workers: each worker rebuilds one
-    ``Simulator`` and runs all of that scenario's policies — across
-    every noise seed in the batch — through the engine's seed-sharing
-    path (:meth:`~repro.sim.engine.Simulator.run_seed`). This
-    amortizes spawn/pickle overhead and restores the serial path's
-    stream reuse under parallelism, and cells that differ only in
-    ``SimulationConfig.seed`` (the paper's Sec 7 multi-seed
-    replications) additionally share the dataset size tables, prepared
-    policies and plan scalars instead of rebuilding them per cell.
+    canonical serialized config minus ``seed``) and sends each worker
+    one whole scenario batch. The worker rebuilds one ``Simulator`` and
+    runs all of that scenario's policies, across every noise seed in
+    the batch, so cells share access streams, and seed replicas (the
+    paper's Sec 7 multi-seed runs) also share the dataset size tables,
+    prepared policies and plan scalars.
 
-All three produce **bitwise-identical** results: every path simulates
-from the same serialized config, and the simulator is deterministic in
-the config's seed. Executors emit typed
-:mod:`~repro.sweep.events` progress events (cell started / finished /
-unsupported) through the ``emit`` callback — always from the sweeping
-process, never from workers — and *yield* results as they land, so the
-runner can memoize each cell the moment it completes (an interrupted
-sweep keeps its finished cells).
+All three produce **bitwise-identical** results: the simulator is
+deterministic in the config's seed, and every sharing the engine does
+is bitwise neutral. Executors emit typed :mod:`~repro.sweep.events`
+progress events (cell started / finished / unsupported) through the
+``emit`` callback — always from the sweeping process, never from
+workers — and *yield* results as they land, so the runner can memoize
+each cell the moment it completes (an interrupted sweep keeps its
+finished cells).
 
 Failure contract: a :class:`~repro.errors.PolicyError` is data (an
 "unsupported" cell result); any other exception aborts the sweep.
 Executors cancel undispatched work, keep draining/yielding the results
 that did complete, then raise the first error — so a restart only
-re-simulates what truly never ran. The batched worker returns its
-partial batch alongside the failure for the same reason.
+re-simulates what truly never ran.
 """
 
 from __future__ import annotations
@@ -151,29 +151,6 @@ def _task_config_dict(task: CellTask) -> dict[str, Any]:
     return task.cell.config.to_dict()
 
 
-def _simulate_cell(
-    payload: tuple[dict[str, Any], Policy, int | None, str | None],
-) -> tuple[dict[str, Any] | None, str | None, float]:
-    """Run one cell from its serialized form (top-level: picklable).
-
-    Returns ``(result_dict, None, elapsed)`` or ``(None, policy_error,
-    elapsed)``. The result crosses the process boundary in dict form —
-    the same representation the cache stores — so every path through
-    the runner yields results reconstructed by the same (lossless)
-    deserializer.
-    """
-    config_dict, policy, tile_rows, kernel_backend = payload
-    config = SimulationConfig.from_dict(config_dict)
-    start = time.perf_counter()
-    try:
-        result = Simulator(
-            config, tile_rows=tile_rows, kernel_backend=kernel_backend
-        ).run(policy)
-    except PolicyError as exc:
-        return None, str(exc), time.perf_counter() - start
-    return result.to_dict(), None, time.perf_counter() - start
-
-
 def _consecutive_groups(items: Sequence, key: Callable) -> Iterator[list]:
     """Split ``items`` into maximal runs sharing ``key(item)``."""
     group: list = []
@@ -189,71 +166,45 @@ def _consecutive_groups(items: Sequence, key: Callable) -> Iterator[list]:
         yield group
 
 
-def _simulate_batch(
-    payload: tuple[
-        dict[str, Any], list[tuple[int, Policy, int]], int | None, str | None
-    ],
-) -> tuple[list[tuple[int, dict[str, Any] | None, str | None, float]], BaseException | None]:
-    """Run one scenario batch: one Simulator, many (policy, seed) cells.
+#: One simulated cell in wire form: ``(index, result_dict, error, elapsed)``.
+Done = tuple[int, dict[str, Any] | None, str | None, float]
 
-    Top-level so it pickles. ``config_dict`` is the batch's first
-    cell's config; the other cells may differ only in ``seed``.
-    Consecutive cells sharing a seed run together through the engine's
-    epoch-major multi-policy path
-    (:meth:`~repro.sim.engine.Simulator.run_many_seed`), which layers
-    the cross-policy permutation/size/noise-state sharing on top of the
+
+def _simulate(
+    sim: Simulator, items: Sequence[tuple[int, Policy, int]]
+) -> tuple[list[Done], Exception | None]:
+    """Simulate ``(index, policy, seed)`` cells on one scenario's Simulator.
+
+    The executors' one cell-simulation path. Consecutive cells sharing
+    a seed run together through the engine's epoch-major
+    :meth:`~repro.sim.engine.Simulator.run_many_seed`, which layers the
+    cross-policy permutation/size/noise-state sharing on top of the
     seed sharing (dataset size tables, shareable prepared policies,
     plan scalars) — bitwise identical to fresh per-cell runs either
     way. Grouped cells report the group's mean per-cell wall time.
+    Results are serialized dicts, the representation the cache stores.
 
-    Returns ``(completed_cells, failure)``: on an unexpected error the
-    cells that finished *before* it are returned alongside the
-    exception, so the parent can memoize them before re-raising — a
-    crash mid-batch loses only the crashing cell's work. (A group that
-    crashes re-runs its cells one at a time — determinism makes the
-    re-run bitwise free — to keep that per-cell guarantee.)
+    Returns ``(done, failure)``: on an unexpected error the cells that
+    finished *before* it are returned alongside the exception, so the
+    caller can memoize them before re-raising. A group that crashes
+    re-runs its cells one at a time — determinism makes the re-run
+    bitwise free — so a crash loses only the crashing cell's work.
     """
-    config_dict, items, tile_rows, kernel_backend = payload
-    sim = Simulator(
-        SimulationConfig.from_dict(config_dict),
-        tile_rows=tile_rows,
-        kernel_backend=kernel_backend,
-    )
-    done: list[tuple[int, dict[str, Any] | None, str | None, float]] = []
-
-    def run_one(
-        index: int, policy: Policy, seed: int
-    ) -> BaseException | None:
-        start = time.perf_counter()
-        try:
-            raw: tuple[dict[str, Any] | None, str | None] = (
-                sim.run_seed(policy, seed).to_dict(),
-                None,
-            )
-        except PolicyError as exc:
-            raw = (None, str(exc))
-        except BaseException as exc:  # noqa: BLE001 - shipped to the parent to re-raise
-            return exc
-        done.append((index, raw[0], raw[1], time.perf_counter() - start))
-        return None
-
+    done: list[Done] = []
     for group in _consecutive_groups(items, key=lambda item: item[2]):
-        if len(group) == 1:
-            failure = run_one(*group[0])
-            if failure is not None:
-                return done, failure
-            continue
         start = time.perf_counter()
         try:
             outcomes = sim.run_many_seed(
                 [policy for _, policy, _ in group], group[0][2]
             )
-        except BaseException as first_exc:  # noqa: BLE001 - recover per cell
-            for index, policy, seed in group:
-                failure = run_one(index, policy, seed)
-                if failure is not None:
-                    return done, failure
-            return done, first_exc
+        except Exception as exc:  # noqa: BLE001 - recover per cell, then report
+            if len(group) > 1:
+                for item in group:
+                    cell_done, failure = _simulate(sim, [item])
+                    done.extend(cell_done)
+                    if failure is not None:
+                        return done, failure
+            return done, exc
         elapsed = (time.perf_counter() - start) / len(group)
         for (index, _, _), outcome in zip(group, outcomes):
             if isinstance(outcome, PolicyError):
@@ -263,50 +214,48 @@ def _simulate_batch(
     return done, None
 
 
-def _emit_completion(emit: Emit, task: CellTask, result: CellResult) -> None:
-    """Publish the finished/unsupported event for one completed cell."""
-    if result.supported:
-        emit(CellFinished(tag=task.cell.tag, index=task.index, elapsed_s=result.elapsed_s))
-    else:
-        emit(
-            CellUnsupported(
-                tag=task.cell.tag, index=task.index, error=result.error or ""
-            )
-        )
+def _simulate_payload(
+    payload: tuple[
+        dict[str, Any], list[tuple[int, Policy, int]], int | None, str | None
+    ],
+) -> tuple[list[Done], Exception | None]:
+    """The pool entry: rebuild the config, then :func:`_simulate` (picklable).
 
-
-def _run_cell(sim: Simulator, task: CellTask, emit: Emit) -> CellResult:
-    """One cell through ``Simulator.run``, timed, completion emitted."""
-    start = time.perf_counter()
-    try:
-        raw: tuple[dict[str, Any] | None, str | None] = (
-            sim.run(task.cell.policy).to_dict(),
-            None,
-        )
-    except PolicyError as exc:
-        raw = (None, str(exc))
-    result = CellResult(
-        index=task.index,
-        result_dict=raw[0],
-        error=raw[1],
-        elapsed_s=time.perf_counter() - start,
+    ``config_dict`` is the batch's first cell's config; the other cells
+    may differ only in ``seed``.
+    """
+    config_dict, items, tile_rows, kernel_backend = payload
+    sim = Simulator(
+        SimulationConfig.from_dict(config_dict),
+        tile_rows=tile_rows,
+        kernel_backend=kernel_backend,
     )
-    _emit_completion(emit, task, result)
+    return _simulate(sim, items)
+
+
+def _cell_result(done: Done, task: CellTask, emit: Emit) -> CellResult:
+    """One finished cell as a CellResult, its completion event emitted."""
+    index, result_dict, error, elapsed = done
+    result = CellResult(
+        index=index, result_dict=result_dict, error=error, elapsed_s=elapsed
+    )
+    if result.supported:
+        emit(CellFinished(tag=task.cell.tag, index=index, elapsed_s=elapsed))
+    else:
+        emit(CellUnsupported(tag=task.cell.tag, index=index, error=error or ""))
     return result
 
 
 class SerialExecutor:
     """In-process execution with per-scenario Simulator reuse.
 
-    Consecutive cells on one scenario (Fig 8's nine policies on one
-    config) run together through the engine's epoch-major
-    :meth:`~repro.sim.engine.Simulator.run_many_outcomes`, so the
-    scenario's permutations, size gathers and noise RNG states are
-    materialized once per epoch for the whole group — bitwise identical
-    to per-cell runs. Grouped cells report the group's mean per-cell
-    wall time; a group hit by an unexpected error re-runs its cells
-    one at a time so finished cells still land before the error
-    propagates.
+    Consecutive cells on one config object (Fig 8's nine policies on
+    one scenario) share one Simulator and run together through
+    :func:`_simulate`, so the scenario's permutations, size gathers
+    and noise RNG states are materialized once per epoch for the whole
+    group. The live ``cell.config`` is simulated directly (never
+    round-tripped through its dict), so memoized per-instance state
+    such as the dataset's size table carries over.
     """
 
     name = "serial"
@@ -322,65 +271,77 @@ class SerialExecutor:
             tasks,
             key=lambda t: (id(t.cell.config), t.tile_rows, t.kernel_backend),
         ):
+            config = group[0].cell.config
             sim = Simulator(
-                group[0].cell.config,
+                config,
                 tile_rows=group[0].tile_rows,
                 kernel_backend=group[0].kernel_backend,
             )
             for task in group:
                 emit(CellStarted(tag=task.cell.tag, index=task.index))
-            if len(group) == 1:
-                yield _run_cell(sim, group[0], emit)
-                continue
-            start = time.perf_counter()
-            try:
-                outcomes = sim.run_many_outcomes(
-                    [task.cell.policy for task in group]
-                )
-            except BaseException:  # noqa: BLE001 - recover per cell, then re-raise
-                # Unexpected crash somewhere in the group: re-run one
-                # cell at a time (determinism makes the re-run bitwise
-                # free) so the cells before the crashing one still
-                # yield — and get memoized — before the error aborts
-                # the sweep.
-                for task in group:
-                    yield _run_cell(sim, task, emit)
-                raise
-            elapsed = (time.perf_counter() - start) / len(group)
-            for task, outcome in zip(group, outcomes):
-                if isinstance(outcome, PolicyError):
-                    result = CellResult(
-                        index=task.index,
-                        result_dict=None,
-                        error=str(outcome),
-                        elapsed_s=elapsed,
-                    )
-                else:
-                    result = CellResult(
-                        index=task.index,
-                        result_dict=outcome.to_dict(),
-                        error=None,
-                        elapsed_s=elapsed,
-                    )
-                _emit_completion(emit, task, result)
-                yield result
+            done, failure = _simulate(
+                sim, [(t.index, t.cell.policy, config.seed) for t in group]
+            )
+            by_index = {task.index: task for task in group}
+            for cell in done:
+                yield _cell_result(cell, by_index[cell[0]], emit)
+            if failure is not None:
+                raise failure
 
 
 class _PoolExecutorBase:
-    """Shared pool plumbing: submit, drain, cancel-on-failure, raise."""
+    """Shared pool plumbing: one :func:`_simulate` task per batch."""
 
     def __init__(self, max_workers: int) -> None:
         if max_workers < 1:
             raise ConfigurationError("executor max_workers must be >= 1")
         self.max_workers = int(max_workers)
 
+    @staticmethod
+    def group(tasks: Sequence[CellTask]) -> list[list[CellTask]]:
+        """How ``tasks`` split into pool tasks (each one Simulator)."""
+        raise NotImplementedError
+
+    def execute(self, tasks: Sequence[CellTask], emit: Emit) -> Iterator[CellResult]:
+        """Fan one pool task out per batch; yield per cell as they land."""
+        if len(tasks) == 1:
+            # A lone cell (Session.run, a warm sweep's single miss) is
+            # not worth a worker process; the serial path shares its
+            # semantics and results.
+            yield from SerialExecutor().execute(tasks, emit)
+            return
+        batches = self.group(tasks)
+        workers = max(1, min(self.max_workers, len(batches)))
+        by_index = {task.index: task for task in tasks}
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures: dict = {}
+            for batch in batches:
+                payload = (
+                    _task_config_dict(batch[0]),
+                    [(t.index, t.cell.policy, t.cell.config.seed) for t in batch],
+                    batch[0].tile_rows,
+                    batch[0].kernel_backend,
+                )
+                futures[pool.submit(_simulate_payload, payload)] = batch
+                for task in batch:
+                    emit(CellStarted(tag=task.cell.tag, index=task.index))
+
+            def handle(payload) -> Iterator[CellResult]:
+                done, failure = payload
+                for cell in done:
+                    yield _cell_result(cell, by_index[cell[0]], emit)
+                if failure is not None:
+                    raise failure
+
+            yield from self._drain(futures, handle)
+
     def _drain(self, futures: dict, handle) -> Iterator[CellResult]:
         """Yield results as futures land; cancel the rest on first failure.
 
-        ``handle(futures[future], future.result())`` turns one future's
-        payload into CellResults (or raises what the worker shipped).
-        Memoization happens caller-side per yielded result, so cells
-        completed before an unexpected failure survive a restart.
+        ``handle(future.result())`` turns one future's payload into
+        CellResults (or raises what the worker shipped). Memoization
+        happens caller-side per yielded result, so cells completed
+        before an unexpected failure survive a restart.
         """
         first_error: BaseException | None = None
         for future in as_completed(futures):
@@ -393,7 +354,7 @@ class _PoolExecutorBase:
                         other.cancel()
                 continue
             try:
-                yield from handle(futures[future], payload)
+                yield from handle(payload)
             except GeneratorExit:
                 # The consumer closed us mid-drain (it raised between
                 # results); cancel what we can and let close() proceed.
@@ -410,47 +371,15 @@ class _PoolExecutorBase:
 
 
 class ProcessExecutor(_PoolExecutorBase):
-    """One cell per pool task (the historical ``n_jobs > 1`` path)."""
+    """One cell per pool task: spreads even one scenario over workers."""
 
     name = "process"
     in_process = False
 
-    def execute(self, tasks: Sequence[CellTask], emit: Emit) -> Iterator[CellResult]:
-        """Fan one pool task out per cell; yield in completion order."""
-        if len(tasks) == 1:
-            # A lone cell (Session.run, a warm sweep's single miss)
-            # is not worth a worker process — run it in-process, as
-            # the pre-protocol runner did. Results are identical.
-            yield from SerialExecutor().execute(tasks, emit)
-            return
-        workers = max(1, min(self.max_workers, len(tasks)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict = {}
-            for task in tasks:
-                future = pool.submit(
-                    _simulate_cell,
-                    (
-                        _task_config_dict(task),
-                        task.cell.policy,
-                        task.tile_rows,
-                        task.kernel_backend,
-                    ),
-                )
-                futures[future] = task
-                emit(CellStarted(tag=task.cell.tag, index=task.index))
-
-            def handle(task: CellTask, payload) -> Iterator[CellResult]:
-                result_dict, error, elapsed = payload
-                result = CellResult(
-                    index=task.index,
-                    result_dict=result_dict,
-                    error=error,
-                    elapsed_s=elapsed,
-                )
-                _emit_completion(emit, task, result)
-                yield result
-
-            yield from self._drain(futures, handle)
+    @staticmethod
+    def group(tasks: Sequence[CellTask]) -> list[list[CellTask]]:
+        """Every cell on its own."""
+        return [[task] for task in tasks]
 
 
 class BatchedExecutor(_PoolExecutorBase):
@@ -462,7 +391,7 @@ class BatchedExecutor(_PoolExecutorBase):
     batch, and so do cells that differ only in their noise seed. Each
     batch is one pool task: the worker rebuilds the scenario's
     ``Simulator`` once and runs every (policy, seed) cell in the batch
-    through the engine's seed-sharing path.
+    through :func:`_simulate`.
     """
 
     name = "batched"
@@ -476,7 +405,7 @@ class BatchedExecutor(_PoolExecutorBase):
         # batches key on the canonical seed-stripped JSON — equal-but-
         # distinct configs still share one batch, as do seed replicas
         # of the same scenario (the worker re-seeds per cell through
-        # Simulator.run_seed).
+        # Simulator.run_many_seed).
         group_keys: dict[int, str] = {}  # id(cell.config) -> seedless JSON
         batches: dict[tuple[str, int | None, str | None], list[CellTask]] = {}
         for task in tasks:
@@ -496,47 +425,6 @@ class BatchedExecutor(_PoolExecutorBase):
                 (group_key, task.tile_rows, task.kernel_backend), []
             ).append(task)
         return list(batches.values())
-
-    def execute(self, tasks: Sequence[CellTask], emit: Emit) -> Iterator[CellResult]:
-        """Fan one pool task out per scenario batch; yield per cell."""
-        if len(tasks) == 1:
-            # A lone cell is not worth a worker process (see
-            # ProcessExecutor); the serial path shares its semantics.
-            yield from SerialExecutor().execute(tasks, emit)
-            return
-        batches = self.group(tasks)
-        workers = max(1, min(self.max_workers, len(batches)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict = {}
-            for batch in batches:
-                payload = (
-                    _task_config_dict(batch[0]),
-                    [(t.index, t.cell.policy, t.cell.config.seed) for t in batch],
-                    batch[0].tile_rows,
-                    batch[0].kernel_backend,
-                )
-                future = pool.submit(_simulate_batch, payload)
-                futures[future] = batch
-                for task in batch:
-                    emit(CellStarted(tag=task.cell.tag, index=task.index))
-            by_index = {task.index: task for task in tasks}
-
-            def handle(batch: list[CellTask], payload) -> Iterator[CellResult]:
-                done, failure = payload
-                for index, result_dict, error, elapsed in done:
-                    task = by_index[index]
-                    result = CellResult(
-                        index=index,
-                        result_dict=result_dict,
-                        error=error,
-                        elapsed_s=elapsed,
-                    )
-                    _emit_completion(emit, task, result)
-                    yield result
-                if failure is not None:
-                    raise failure
-
-            yield from self._drain(futures, handle)
 
 
 def resolve_executor(spec: "str | Executor | None", n_jobs: int) -> Executor:

@@ -1,4 +1,4 @@
-"""Old entry points keep working — and say they are deprecated."""
+"""The consolidated CLI runs without deprecation warnings; old imports resolve."""
 
 import os
 import subprocess
@@ -27,61 +27,16 @@ def run_module(args, cwd=None):
     )
 
 
-class TestDeprecatedHelpers:
-    def test_fig8_policies_warns_but_works(self):
-        from repro.api import fig8_lineup
-        from repro.sim import fig8_policies
-
-        with pytest.deprecated_call():
-            old = fig8_policies()
-        assert [p.name for p in old] == [p.name for p in fig8_lineup()]
-
-    def test_table1_policies_warns_but_works(self):
-        from repro.api import table1_lineup
-        from repro.sim import table1_policies
-
-        with pytest.deprecated_call():
-            old = table1_policies()
-        assert [p.name for p in old] == [p.name for p in table1_lineup()]
-
-    def test_policyspec_factory_callable_warns_but_works(self):
-        from repro.experiments.scaling import PolicySpec
-        from repro.sim import NoPFSPolicy
-
-        spec = PolicySpec("NoPFS", lambda: NoPFSPolicy())
-        with pytest.deprecated_call():
-            policy = spec.build()
-        assert policy.name == "nopfs"
-
-    def test_policyspec_legacy_keyword_still_works(self):
+class TestPolicySpec:
+    def test_requires_a_policy(self):
         from repro.errors import ConfigurationError
         from repro.experiments.scaling import PolicySpec
-        from repro.sim import NoPFSPolicy
 
-        spec = PolicySpec("NoPFS", policy_factory=lambda: NoPFSPolicy())
-        with pytest.deprecated_call():
-            assert spec.build().name == "nopfs"
-        with pytest.raises(ConfigurationError):
-            PolicySpec("NoPFS", "nopfs", policy_factory=lambda: NoPFSPolicy())
         with pytest.raises(ConfigurationError):
             PolicySpec("NoPFS")
 
 
 class TestDeprecatedCLIs:
-    def test_python_m_repro_sweep_still_works_and_warns(self, tmp_path):
-        proc = run_module(
-            ["repro.sweep", "stats", "--cache-dir", str(tmp_path / "cache")]
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "DeprecationWarning" in proc.stderr
-        assert "python -m repro sweep" in proc.stderr
-
-    def test_python_m_repro_experiments_still_works_and_warns(self):
-        proc = run_module(["repro.experiments", "--figures", "table1"])
-        assert proc.returncode == 0, proc.stderr
-        assert "Table 1" in proc.stdout or "table1" in proc.stdout
-        assert "DeprecationWarning" in proc.stderr
-
     def test_new_cli_does_not_warn(self, tmp_path):
         proc = run_module(["repro", "cache", "stats", "--cache-dir", str(tmp_path / "c")])
         assert proc.returncode == 0, proc.stderr

@@ -176,9 +176,11 @@ class TestHoldEpoch:
         c = self._uncached(monkeypatch)
         c.hold_epoch(1)
         assert c.held_epoch == 1
-        builds = c.perm_builds
-        assert c.epoch_matrix(1) is c.epoch_matrix(1)
-        assert c.perm_builds == builds
+        assert c.perm_builds == 0  # the hold itself builds nothing
+        held = c.epoch_matrix(1)
+        assert c.perm_builds == 1  # the first request builds once
+        assert c.epoch_matrix(1) is held
+        assert c.perm_builds == 1  # later requests reuse that build
 
     def test_held_matrix_bitwise_matches_unheld(self, monkeypatch):
         c = self._uncached(monkeypatch)
@@ -189,14 +191,16 @@ class TestHoldEpoch:
     def test_rolls_one_epoch_at_a_time(self, monkeypatch):
         c = self._uncached(monkeypatch)
         c.hold_epoch(0)
+        c.epoch_matrix(0)
         c.hold_epoch(1)
         assert c.held_epoch == 1
+        assert c.perm_builds == 1  # holding epoch 1 built nothing
+        held = c.epoch_matrix(1)
+        assert c.perm_builds == 2
+        assert c.epoch_matrix(1) is held
         # The released epoch rebuilds; the held one doesn't.
-        builds = c.perm_builds
-        c.epoch_matrix(1)
-        assert c.perm_builds == builds
         c.epoch_matrix(0)
-        assert c.perm_builds == builds + 1
+        assert c.perm_builds == 3
 
     def test_re_hold_is_a_no_op(self, monkeypatch):
         c = self._uncached(monkeypatch)
@@ -223,9 +227,11 @@ class TestHoldEpoch:
         assert c.perm_builds == 3
 
     def test_cache_enabled_hold_primes_persistent_cache(self):
+        """With caching on, a hold is a no-op: the persistent cache is
+        filled by the first request, not by the hold."""
         c = ctx()
         c.hold_epoch(0)
         assert c.held_epoch is None  # nothing to roll when caching
-        builds = c.perm_builds
+        assert c.perm_builds == 0
         assert c.epoch_matrix(0) is c.epoch_matrix(0)
-        assert c.perm_builds == builds == 1
+        assert c.perm_builds == 1

@@ -1,6 +1,6 @@
-"""Epoch-major ``run_many`` is bitwise-identical to per-policy ``run``.
+"""Epoch-major ``run_many`` is bitwise-identical to per-policy runs.
 
-PR 10's sharing contract: :meth:`Simulator.run_many_outcomes` iterates
+The sharing contract: :meth:`Simulator.run_many_outcomes` iterates
 epochs outermost so each epoch's permutation, size gather and noise RNG
 states are materialized once and shared by every policy — **even when
 the permutation cache is disabled** (the paper-scale regime). This
@@ -8,12 +8,16 @@ suite forces the cache off via ``REPRO_PERM_CACHE_MAX_ELEMENTS=0`` and
 pins, for every registered policy spec:
 
 * byte-identical results (or identical ``PolicyError`` messages)
-  against a fresh per-policy ``Simulator.run``;
+  against a fresh per-policy run of the frozen reference engine
+  (``tests/sim/reference_engine.py``);
 * the sharing counters — permutations built once per epoch
   (``perm_builds == E``, not ``E x P``), noise states derived once per
   ``(epoch, worker)`` and rolled epoch to epoch;
 * the rolling slots drain afterwards (``held_epoch is None``, one
-  epoch of noise states resident).
+  epoch of noise states resident);
+* ``run`` and a one-policy ``run_many_outcomes`` build the same number
+  of permutations (the rolling slot is lazy, so an epoch no policy
+  reads is never built).
 """
 
 import json
@@ -27,6 +31,8 @@ from repro.perfmodel import sec6_cluster
 from repro.sim import SimulationConfig, Simulator
 from repro.sim.result import SimulationResult
 from repro.units import TB
+
+from .reference_engine import reference_run
 
 #: Every registered policy spec (canonical names plus lineup variants),
 #: mirroring the engine-equivalence matrix.
@@ -73,9 +79,9 @@ def _canonical(outcome):
 
 
 def _expected(config: SimulationConfig, spec: str):
-    """What a fresh single-policy simulator produces for ``spec``."""
+    """What the frozen reference engine produces for ``spec``."""
     try:
-        result = Simulator(config).run(make_policy(spec))
+        result = reference_run(config, make_policy(spec))
         return json.dumps(result.to_dict(), sort_keys=True)
     except PolicyError as exc:
         return ("PolicyError", str(exc))
@@ -182,3 +188,40 @@ def test_run_many_dict_omits_unsupported():
     assert set(results) == set(supported)
     for name, result in results.items():
         assert _canonical(result) == _canonical(supported[name])
+
+
+#: Permutations one policy builds on the cache-disabled default
+#: scenario (E=3). Frequency-driven NoPFS reads every epoch at prepare
+#: time; stream rewriters read the canonical stream only while cold;
+#: parallel staging never reads it.
+EXPECTED_BUILDS = {
+    "deepio": 3,
+    "deepio:opportunistic": 1,
+    "deepio:ordered": 3,
+    "lbann": 3,
+    "lbann:dynamic": 3,
+    "lbann:preloading": 3,
+    "locality_aware": 1,
+    "naive": 3,
+    "nopfs": 5,
+    "parallel_staging": 0,
+    "perfect": 3,
+    "pytorch": 3,
+    "staging_buffer": 3,
+}
+
+
+@pytest.mark.parametrize("spec", ALL_POLICY_SPECS)
+def test_run_and_run_many_build_the_same_permutations(monkeypatch, spec):
+    """A lazy hold: no entry point builds an epoch no policy reads, and
+    placement-building prepares share the loop's epoch-0 build."""
+    monkeypatch.setenv("REPRO_PERM_CACHE_MAX_ELEMENTS", "0")
+    config = SCENARIOS["default"]
+    single = Simulator(config)
+    try:
+        single.run(make_policy(spec))
+    except PolicyError:
+        pass
+    many = Simulator(config)
+    many.run_many_outcomes([make_policy(spec)])
+    assert single.ctx.perm_builds == many.ctx.perm_builds == EXPECTED_BUILDS[spec]

@@ -1,10 +1,11 @@
 """Seed-sharing execution: ``run_seed``/``run_seeds`` semantics.
 
 The shared path must be a pure optimization: per-seed results are
-bitwise identical to fresh ``Simulator.run()`` calls, in any
-evaluation order (no RNG state may leak from one seed's run into the
-next), and the :class:`~repro.sim.SeedShareStats` counters prove what
-was actually shared.
+bitwise identical to fresh runs of the frozen reference engine
+(``tests/sim/reference_engine.py``) in any evaluation order (no RNG
+state may leak from one seed's run into the next), and the
+:class:`~repro.sim.SeedShareStats` counters prove what was actually
+shared.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import random
 
 import pytest
 
+from repro.api import fig8_lineup
 from repro.datasets import DatasetModel
 from repro.perfmodel import sec6_cluster
 from repro.sim import (
@@ -20,8 +22,9 @@ from repro.sim import (
     SimulationConfig,
     Simulator,
     StagingBufferPolicy,
-    fig8_policies,
 )
+
+from .reference_engine import reference_run
 
 SEEDS = [3, 7, 11, 19, 23]
 
@@ -38,9 +41,8 @@ def _config(seed: int = 5) -> SimulationConfig:
 
 
 def _fresh(config: SimulationConfig, policy, seed: int) -> str:
-    return (
-        Simulator(dataclasses.replace(config, seed=seed)).run(policy).to_json()
-    )
+    """The frozen reference engine's result for ``policy`` under ``seed``."""
+    return reference_run(dataclasses.replace(config, seed=seed), policy).to_json()
 
 
 class TestBitwiseEquality:
@@ -77,7 +79,7 @@ class TestBitwiseEquality:
         """Alternating policies between seeds must not cross-pollute."""
         config = _config()
         sim = Simulator(config)
-        lineup = fig8_policies()[:3]
+        lineup = fig8_lineup()[:3]
         for seed in SEEDS[:3]:
             for policy in lineup:
                 assert sim.run_seed(policy, seed).to_json() == _fresh(
@@ -119,8 +121,6 @@ class TestBitwiseEquality:
 
     def test_run_many_seed_matches_fresh_runs(self):
         """The grouped epoch-major seed path == fresh per-policy runs."""
-        from repro.api import fig8_lineup
-
         config = _config()
         sim = Simulator(config)
         lineup = fig8_lineup()

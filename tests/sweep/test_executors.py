@@ -263,9 +263,9 @@ class TestEvents:
 
 
 class TestPoolSemantics:
-    """The historical process-pool guarantees hold for both pool executors."""
+    """Crash recovery holds for every executor; the rest pin pool plumbing."""
 
-    @pytest.mark.parametrize("executor", ["process", "batched"])
+    @pytest.mark.parametrize("executor", ["serial", "process", "batched"])
     def test_worker_crash_raises_but_keeps_finished_cells(self, config, executor):
         backend = InMemoryBackend()
         good = policy_cells(config, POLICIES)

@@ -179,8 +179,9 @@ class TestCLI:
     """End-to-end: separate processes per shard, CLI merge, warm run."""
 
     def _run(self, *args: str, cwd: Path) -> str:
+        group = "cache" if args[0] in ("gc", "stats", "verify") else "sweep"
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.sweep", *args],
+            [sys.executable, "-m", "repro", group, *args],
             capture_output=True, text=True, cwd=cwd,
             env={"PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
                  "PATH": "/usr/bin:/bin"},

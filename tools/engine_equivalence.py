@@ -15,16 +15,18 @@ Cells: the standard demo grid plus the full Fig 8 nine-policy lineup on
 a scaled-down MNIST scenario, so every registered policy — including
 the unsupported/PolicyError path — flows through both engines.
 
-``--kernels`` runs the production engine under a named kernel backend
-(``repro list kernels``), ``--share-seeds`` routes every cell through
-the seed-sharing path (``Simulator.run_seed`` from a base simulator on
-a *different* seed), and ``--run-many`` evaluates each scenario's cells
-together through the epoch-major multi-policy path
-(``Simulator.run_many_outcomes`` / ``run_many_seed``) — all execution
-knobs with a bitwise-identity contract, so the byte-diff must stay
-empty for every combination. Pairing ``--run-many`` with a
-``REPRO_PERM_CACHE_MAX_ELEMENTS=0`` environment exercises the
-cache-disabled rolling-slot sharing on these small scenarios.
+Every production run goes through the simulator's one epoch-major
+loop; the flags change how cells enter it. By default each cell runs
+alone (``Simulator.run``). ``--kernels`` runs the production engine
+under a named kernel backend (``repro list kernels``), ``--share-seeds``
+reaches each cell's seed from a base simulator on a *different* seed
+(``Simulator.run_seed``), and ``--run-many`` evaluates each scenario's
+cells together in one batch (``Simulator.run_many_outcomes`` /
+``run_many_seed``). All are execution knobs with a bitwise-identity
+contract, so the byte-diff must stay empty for every combination.
+Pairing ``--run-many`` with a ``REPRO_PERM_CACHE_MAX_ELEMENTS=0``
+environment exercises the cache-disabled rolling-slot sharing on these
+small scenarios.
 
 Usage::
 
