@@ -6,7 +6,7 @@ pure array kernels in :mod:`repro.sim.kernels`; see
 """
 
 from . import kernels
-from .backends import KERNEL_BACKENDS, KernelBackend, resolve_kernel_backend
+from .backends import KernelBackend, resolve_kernel_backend
 from .bounds import policy_lower_bound
 from .config import SimulationConfig
 from .context import ScenarioContext
@@ -36,7 +36,6 @@ __all__ = [
     "ScenarioContext",
     "Simulator",
     "SeedShareStats",
-    "KERNEL_BACKENDS",
     "KernelBackend",
     "resolve_kernel_backend",
     "EpochPlan",

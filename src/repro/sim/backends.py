@@ -1,83 +1,31 @@
-"""The kernel backend registry: pluggable implementations of the hot kernels.
+"""The kernel bundle the engine's execute phase calls through.
 
 The execute phase of :class:`~repro.sim.engine.Simulator` spends its
-time in a handful of pure array kernels (:mod:`repro.sim.kernels`). A
-:class:`KernelBackend` bundles one implementation of each behind a
-uniform surface, and :data:`KERNEL_BACKENDS` names the available
-bundles:
-
-``numpy`` (the default)
-    The reference kernels from :mod:`repro.sim.kernels`, unchanged.
-
-``numba``
-    Lazily imports :mod:`numba` and JIT-compiles the kernels whose
-    floating-point operation *order* a compiled scalar loop can
-    reproduce exactly — :func:`~repro.sim.kernels.hash01` (pure uint64
-    arithmetic), :func:`~repro.sim.kernels.source_totals` (bincount ==
-    flat-order sequential accumulation),
-    :func:`~repro.sim.kernels.accumulate_rows` (already an explicit
-    worker-order loop) and :func:`~repro.sim.kernels.add_pfs_latency`
-    (elementwise). ``batch_totals`` and ``interference_factors`` stay
-    on numpy: their reductions use numpy's pairwise summation, whose
-    association order a naive compiled loop would change — and with it
-    the last ulp of the result. When numba is not importable the
-    backend warns once and falls back to ``numpy``.
-
-Like ``tile_rows``, the backend is an **execution knob, not scenario
-configuration**: every backend must produce bitwise-identical
-:class:`~repro.sim.result.SimulationResult` JSON (pinned by
-``tests/sim/test_backend_matrix.py`` and the CI cache byte-diff), so it
-deliberately stays out of :class:`~repro.sim.config.SimulationConfig`,
-scenario fingerprints and sweep-cache keys — switching backends never
-invalidates a warm cache.
-
-This module must not import :mod:`repro.api` (which imports
-``repro.sim``), so the registry carries its own small near-miss
-suggestion logic instead of reusing :class:`repro.api.registry.Registry`.
+time in a handful of pure array kernels (:mod:`repro.sim.kernels`). The
+engine reaches them through a :class:`KernelBackend` bundle rather than
+by direct import, so a caller can substitute wrapped kernels: build a
+derived bundle with :func:`dataclasses.replace` and assign it to
+``sim.kernels`` (``tools/profile_cell.py`` interposes its per-phase
+timing shims this way). Wrapped kernels must keep the bitwise output of
+the originals.
 """
 
 from __future__ import annotations
 
-import difflib
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from . import kernels
 
-__all__ = [
-    "KERNEL_BACKENDS",
-    "KernelBackend",
-    "KernelBackendRegistry",
-    "numpy_backend",
-    "resolve_kernel_backend",
-]
+__all__ = ["KernelBackend", "resolve_kernel_backend"]
 
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """One implementation bundle of the engine's hot kernels.
+    """The engine's hot kernels, one callable per :mod:`repro.sim.kernels` namesake."""
 
-    Each callable matches the signature (and the bitwise output) of its
-    namesake in :mod:`repro.sim.kernels`; ``compiled`` records whether
-    the bundle JIT-compiles any of them (for listings and benchmarks).
-
-    The dataclass is frozen so resolved bundles can be shared freely,
-    but derived bundles are a supported pattern: wrap a resolved
-    backend's callables and rebuild it with :func:`dataclasses.replace`,
-    then pass the instance straight to ``Simulator(kernel_backend=...)``
-    — instances bypass the registry. ``tools/profile_cell.py`` uses
-    exactly this to interpose per-phase timing shims without touching
-    the registry or the engine.
-    """
-
-    name: str
-    summary: str
-    compiled: bool
-    hash01: Callable[..., np.ndarray]
     warmup_remote_classes: Callable[..., np.ndarray]
     batch_totals: Callable[..., np.ndarray]
     source_totals: Callable[..., np.ndarray]
@@ -85,285 +33,17 @@ class KernelBackend:
     add_pfs_latency: Callable[..., np.ndarray]
     interference_factors: Callable[..., np.ndarray]
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"KernelBackend(name={self.name!r}, compiled={self.compiled})"
 
-
-class KernelBackendRegistry:
-    """Name -> lazily-built :class:`KernelBackend` registry.
-
-    Factories run (and memoize) on first resolution, so registering the
-    ``numba`` backend costs nothing until someone asks for it — the
-    feature-flag pattern the optional compiled dependency needs.
-    """
-
-    def __init__(self) -> None:
-        self._factories: dict[str, tuple[str, Callable[[], KernelBackend]]] = {}
-        self._resolved: dict[str, KernelBackend] = {}
-
-    def register(
-        self, name: str, summary: str, factory: Callable[[], KernelBackend]
-    ) -> None:
-        """Register a backend factory under ``name`` (duplicates raise)."""
-        if name in self._factories:
-            raise ConfigurationError(f"kernel backend {name!r} is already registered")
-        self._factories[name] = (summary, factory)
-
-    def names(self) -> list[str]:
-        """Registered backend names, in registration order."""
-        return list(self._factories)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._factories
-
-    def __iter__(self):
-        return iter(self._factories)
-
-    def describe(self) -> list[tuple[str, str]]:
-        """``(name, summary)`` rows for listings (``repro list kernels``)."""
-        return [(name, summary) for name, (summary, _) in self._factories.items()]
-
-    def _unknown(self, spec: str) -> ConfigurationError:
-        """The unknown-name error, with near-miss suggestions."""
-        known = ", ".join(self._factories)
-        close = difflib.get_close_matches(spec, list(self._factories), n=3)
-        hint = f"; did you mean {', '.join(close)}?" if close else ""
-        return ConfigurationError(
-            f"unknown kernel backend {spec!r} (known: {known}){hint}"
-        )
-
-    def validate(self, spec: "str | KernelBackend | None") -> None:
-        """Reject unknown backend names *without* building anything.
-
-        The sweep layer calls this at runner construction so a typo'd
-        ``--kernels`` fails fast in the parent process — resolution
-        (and any optional-dependency import/fallback) still happens
-        lazily, worker-side.
-        """
-        if spec is None or isinstance(spec, KernelBackend):
-            return
-        if not isinstance(spec, str):
-            raise ConfigurationError(
-                f"cannot interpret {type(spec).__name__!r} as a kernel backend"
-            )
-        if spec not in self._factories:
-            raise self._unknown(spec)
-
-    def resolve(self, spec: "str | KernelBackend | None") -> KernelBackend:
-        """Normalize a backend naming to a live :class:`KernelBackend`.
-
-        ``None`` picks ``numpy``; instances pass through (custom
-        backends plug in here); strings name registered backends, with
-        near-miss suggestions on unknown names. Resolution is memoized,
-        so a fallback warning (numba missing) fires once per process.
-        """
-        if spec is None:
-            spec = "numpy"
-        if isinstance(spec, KernelBackend):
-            return spec
-        if not isinstance(spec, str):
-            raise ConfigurationError(
-                f"cannot interpret {type(spec).__name__!r} as a kernel backend"
-            )
-        cached = self._resolved.get(spec)
-        if cached is not None:
-            return cached
-        entry = self._factories.get(spec)
-        if entry is None:
-            raise self._unknown(spec)
-        backend = entry[1]()
-        self._resolved[spec] = backend
-        return backend
-
-
-#: The process-wide registry ``Simulator(kernel_backend=...)``, the
-#: sweep layer's ``--kernels`` flag and ``repro list kernels`` consult.
-KERNEL_BACKENDS = KernelBackendRegistry()
-
-
-def resolve_kernel_backend(spec: "str | KernelBackend | None") -> KernelBackend:
-    """Module-level shorthand for :meth:`KERNEL_BACKENDS.resolve`."""
-    return KERNEL_BACKENDS.resolve(spec)
-
-
-# -- numpy (the reference implementation) --------------------------------
-
-
-def numpy_backend() -> KernelBackend:
-    """The default backend: the reference kernels, untouched."""
-    return KernelBackend(
-        name="numpy",
-        summary="pure-numpy reference kernels (default; always available)",
-        compiled=False,
-        hash01=kernels.hash01,
-        warmup_remote_classes=kernels.warmup_remote_classes,
-        batch_totals=kernels.batch_totals,
-        source_totals=kernels.source_totals,
-        accumulate_rows=kernels.accumulate_rows,
-        add_pfs_latency=kernels.add_pfs_latency,
-        interference_factors=kernels.interference_factors,
-    )
-
-
-KERNEL_BACKENDS.register(
-    "numpy",
-    "pure-numpy reference kernels (default; always available)",
-    numpy_backend,
+_NUMPY = KernelBackend(
+    warmup_remote_classes=kernels.warmup_remote_classes,
+    batch_totals=kernels.batch_totals,
+    source_totals=kernels.source_totals,
+    accumulate_rows=kernels.accumulate_rows,
+    add_pfs_latency=kernels.add_pfs_latency,
+    interference_factors=kernels.interference_factors,
 )
 
 
-# -- numba (optional, compiled) ------------------------------------------
-
-
-def _build_numba_backend() -> KernelBackend:
-    """JIT-compile the bit-replicable kernels (raises ImportError without numba)."""
-    import numba  # noqa: F401 - the import *is* the feature gate
-
-    from ..perfmodel import Source
-
-    pfs_source = int(Source.PFS)
-
-    @numba.njit(cache=False)
-    def _hash01_u64(x: np.ndarray) -> np.ndarray:
-        # The splitmix-style mix from kernels.hash01, scalarized: every
-        # step is exact uint64 arithmetic, so the compiled loop is
-        # bit-for-bit the numpy expression.
-        out = np.empty(x.size, dtype=np.float64)
-        mult1 = np.uint64(0x9E3779B97F4A7C15)
-        mult2 = np.uint64(0xFF51AFD7ED558CCD)
-        shift1 = np.uint64(31)
-        shift2 = np.uint64(33)
-        for i in range(x.size):
-            v = x[i] * mult1
-            v ^= v >> shift1
-            v *= mult2
-            v ^= v >> shift2
-            out[i] = np.float64(v) / 18446744073709551616.0  # 2**64
-        return out
-
-    def hash01(ids: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(ids, dtype=np.uint64).ravel()
-        return _hash01_u64(flat).reshape(np.shape(ids))
-
-    def warmup_remote_classes(ids: np.ndarray, best_map: np.ndarray) -> np.ndarray:
-        # Same structure as the reference, routed through the compiled
-        # hash; the where/gather stays numpy (gathers have no float
-        # accumulation to reorder).
-        length = ids.shape[-1]
-        progress = np.arange(1, length + 1, dtype=np.float64) / max(length, 1)
-        available = hash01(ids) < progress
-        return np.where(available, best_map[ids], np.int8(-1)).astype(np.int8)
-
-    @numba.njit(cache=False)
-    def _source_totals_weighted(
-        sources: np.ndarray, weights: np.ndarray, num_sources: int
-    ) -> np.ndarray:
-        # np.bincount accumulates in flat-index order == this row-major
-        # scan, so the float additions happen in the identical order.
-        n, length = sources.shape
-        out = np.zeros((n, num_sources), dtype=np.float64)
-        for w in range(n):
-            for i in range(length):
-                out[w, sources[w, i]] += weights[w, i]
-        return out
-
-    @numba.njit(cache=False)
-    def _source_counts(sources: np.ndarray, num_sources: int) -> np.ndarray:
-        n, length = sources.shape
-        out = np.zeros((n, num_sources), dtype=np.int64)
-        for w in range(n):
-            for i in range(length):
-                out[w, sources[w, i]] += 1
-        return out
-
-    def source_totals(
-        sources: np.ndarray, weights: np.ndarray | None = None
-    ) -> np.ndarray:
-        src = np.ascontiguousarray(sources, dtype=np.intp)
-        if weights is None:
-            return _source_counts(src, kernels.NUM_SOURCES)
-        return _source_totals_weighted(
-            src,
-            np.ascontiguousarray(weights, dtype=np.float64),
-            kernels.NUM_SOURCES,
-        )
-
-    @numba.njit(cache=False)
-    def _accumulate_rows(rows: np.ndarray) -> np.ndarray:
-        # total += row per worker, in worker order — exactly the
-        # reference loop (each column is an independent scalar chain).
-        n, k = rows.shape
-        total = np.zeros(k, dtype=rows.dtype)
-        for i in range(n):
-            for j in range(k):
-                total[j] += rows[i, j]
-        return total
-
-    def accumulate_rows(per_worker: np.ndarray) -> np.ndarray:
-        return _accumulate_rows(np.ascontiguousarray(per_worker))
-
-    @numba.njit(cache=False)
-    def _add_pfs_latency(
-        fetch_times: np.ndarray, sources: np.ndarray, pfs_latency: float, pfs: int
-    ) -> np.ndarray:
-        # Elementwise fetch + latency*mask; adding 0.0 on non-PFS
-        # entries mirrors the numpy broadcast, so signed zeros and ulps
-        # match exactly.
-        out = np.empty(fetch_times.shape, dtype=np.float64)
-        n, length = fetch_times.shape
-        for w in range(n):
-            for i in range(length):
-                bump = pfs_latency if sources[w, i] == pfs else 0.0
-                out[w, i] = fetch_times[w, i] + bump
-        return out
-
-    def add_pfs_latency(
-        fetch_times: np.ndarray, sources: np.ndarray, pfs_latency: float
-    ) -> np.ndarray:
-        if pfs_latency <= 0:
-            return fetch_times
-        return _add_pfs_latency(
-            np.ascontiguousarray(fetch_times, dtype=np.float64),
-            np.ascontiguousarray(sources),
-            float(pfs_latency),
-            pfs_source,
-        )
-
-    return KernelBackend(
-        name="numba",
-        summary="numba-JIT hash/histogram/accumulation kernels "
-        "(optional; falls back to numpy when numba is missing)",
-        compiled=True,
-        hash01=hash01,
-        warmup_remote_classes=warmup_remote_classes,
-        # Pairwise-summation reductions stay on numpy: a compiled
-        # sequential loop would reassociate the float additions.
-        batch_totals=kernels.batch_totals,
-        source_totals=source_totals,
-        accumulate_rows=accumulate_rows,
-        add_pfs_latency=add_pfs_latency,
-        interference_factors=kernels.interference_factors,
-    )
-
-
-def _numba_backend() -> KernelBackend:
-    """The ``numba`` factory: graceful fallback when the import fails."""
-    try:
-        return _build_numba_backend()
-    except ImportError as exc:
-        warnings.warn(
-            f"kernel backend 'numba' is unavailable ({exc}); falling back "
-            "to the numpy backend (install the 'compiled' extra: "
-            "pip install repro-nopfs[compiled])",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return KERNEL_BACKENDS.resolve("numpy")
-
-
-KERNEL_BACKENDS.register(
-    "numba",
-    "numba-JIT hash/histogram/accumulation kernels "
-    "(optional; falls back to numpy when numba is missing)",
-    _numba_backend,
-)
+def resolve_kernel_backend(spec: None) -> KernelBackend:
+    """The bundle a new simulator starts with (``spec`` must be ``None``)."""
+    return _NUMPY

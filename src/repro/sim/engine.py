@@ -173,10 +173,9 @@ class EpochPlan:
     #: matrix, making the size gather shareable across policies.
     shared_ids: bool = field(repr=False, default=False)
     #: The kernel bundle :meth:`tile` materializes warm-up availability
-    #: with (every bundle is bitwise-equivalent; see
-    #: :mod:`repro.sim.backends`).
+    #: with (see :mod:`repro.sim.backends`).
     kernels: KernelBackend = field(
-        repr=False, default_factory=lambda: resolve_kernel_backend("numpy")
+        repr=False, default_factory=lambda: resolve_kernel_backend(None)
     )
 
     def tile(self, rows: slice) -> EpochTile:
@@ -285,13 +284,10 @@ class Simulator:
         Reuse an existing :class:`ScenarioContext` built from the same
         ``config`` (e.g. to share cached permutations between
         simulators) instead of constructing a fresh one.
-    kernel_backend:
-        Which :mod:`repro.sim.backends` kernel bundle the execute phase
-        runs on: a registered name (``"numpy"`` / ``"numba"``), a
-        :class:`~repro.sim.backends.KernelBackend` instance, or ``None``
-        for the numpy default. Every backend is bitwise-equivalent, so
-        — like ``tile_rows`` — this is an execution knob, not scenario
-        configuration.
+
+    The execute phase calls its kernels through ``self.kernels``, a
+    :class:`~repro.sim.backends.KernelBackend`; assign a derived bundle
+    there to interpose wrapped kernels.
     """
 
     def __init__(
@@ -299,7 +295,6 @@ class Simulator:
         config: SimulationConfig,
         tile_rows: int | None = None,
         ctx: ScenarioContext | None = None,
-        kernel_backend: "str | KernelBackend | None" = None,
     ) -> None:
         if tile_rows is not None and int(tile_rows) < 1:
             raise ConfigurationError(
@@ -307,7 +302,7 @@ class Simulator:
             )
         self.config = config
         self.tile_rows = None if tile_rows is None else int(tile_rows)
-        self.kernels = resolve_kernel_backend(kernel_backend)
+        self.kernels = resolve_kernel_backend(None)
         self.ctx = ctx if ctx is not None else ScenarioContext(config)
         self.plan_cache = PlanCache(self.ctx)
         #: Counters for the :meth:`run_seeds` sharing (see the class doc).
@@ -450,7 +445,7 @@ class Simulator:
         :class:`~repro.datasets.DatasetModel` instance (so the
         materialized sample-size table is built once — the dataset's
         sizes derive from its *own* seed, not the simulation seed), the
-        kernel backend and tile height, and — via
+        kernel bundle and tile height, and — via
         :meth:`~repro.sim.plancache.PlanCache.adopt_invariants` — the
         plan cache's cold-class template and every already-computed
         :class:`~repro.sim.plancache.PlanScalars`. Only the genuinely
@@ -464,9 +459,8 @@ class Simulator:
         sim = self._seed_variants.get(seed)
         if sim is None:
             config = dataclasses.replace(self.config, seed=seed)
-            sim = Simulator(
-                config, tile_rows=self.tile_rows, kernel_backend=self.kernels
-            )
+            sim = Simulator(config, tile_rows=self.tile_rows)
+            sim.kernels = self.kernels
             self._seed_variants[seed] = sim
             self.seed_share.variants += 1
         # Re-adopt on every access: scalars computed since the variant

@@ -52,6 +52,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy
+
 from .. import __version__
 from ..errors import ConfigurationError
 from ..sim import Policy, SimulationConfig, SimulationResult
@@ -125,15 +127,21 @@ _SIMULATION_SOURCES = (
 
 @functools.lru_cache(maxsize=1)
 def code_fingerprint() -> str:
-    """Version + digest of the simulation-relevant source files.
+    """Version + digest of the simulation-relevant source files + numpy.
 
     Editing the simulator (noise model, fetch resolution, policies...)
     must invalidate cached results even though ``__version__`` is only
     bumped per release. Falls back to the bare version when the source
     is not readable (zipped installs).
+
+    Both forms end in numpy's major.minor: results depend on numpy's
+    ``Generator`` streams (not guaranteed stable across versions, NEP
+    19) and its summation order, so caches and shard manifests built
+    on different numpy stacks must not mix.
     """
     import repro
 
+    stack = "numpy" + ".".join(numpy.__version__.split(".")[:2])
     digest = hashlib.sha256()
     try:
         root = Path(repro.__file__).parent
@@ -144,8 +152,8 @@ def code_fingerprint() -> str:
                 digest.update(str(f.relative_to(root)).encode("utf-8"))
                 digest.update(f.read_bytes())
     except OSError:
-        return __version__
-    return f"{__version__}+{digest.hexdigest()[:16]}"
+        return f"{__version__}-{stack}"
+    return f"{__version__}+{digest.hexdigest()[:16]}-{stack}"
 
 
 @functools.lru_cache(maxsize=None)

@@ -265,7 +265,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         executor=args.executor,
         cache=args.cache,
         tile_rows=args.tile_rows,
-        kernel_backend=args.kernels,
     )
     if args.progress:
         runner.bus.subscribe(ProgressPrinter())
@@ -373,11 +372,6 @@ def configure_run(sub) -> argparse.ArgumentParser:
         help="engine streaming tile height (worker rows per band) to bound "
         "peak memory on paper-scale scenarios; results are bitwise-identical "
         "for every value (default: whole epochs)",
-    )
-    run.add_argument(
-        "--kernels", default=None, metavar="BACKEND",
-        help="kernel backend (see `python -m repro list kernels`; default "
-        "numpy; results are bitwise-identical across backends)",
     )
     run.add_argument(
         "--progress", action="store_true",

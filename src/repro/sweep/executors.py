@@ -88,18 +88,15 @@ class CellTask:
     may receive None and use ``cell.config`` directly.
 
     ``tile_rows`` (the engine's streaming tile height; ``None`` = whole
-    epochs) and ``kernel_backend`` (a :data:`repro.sim.KERNEL_BACKENDS`
-    name; ``None`` = numpy) are execution knobs, not part of the
-    scenario: results are bitwise identical for every value, so both
-    deliberately stay out of the config dict and therefore out of the
-    cache key.
+    epochs) is an execution knob, not part of the scenario: results are
+    bitwise identical for every value, so it deliberately stays out of
+    the config dict and therefore out of the cache key.
     """
 
     index: int
     cell: SweepCell
     config_dict: dict[str, Any] | None = None
     tile_rows: int | None = None
-    kernel_backend: str | None = None
 
 
 @dataclass(frozen=True)
@@ -215,21 +212,15 @@ def _simulate(
 
 
 def _simulate_payload(
-    payload: tuple[
-        dict[str, Any], list[tuple[int, Policy, int]], int | None, str | None
-    ],
+    payload: tuple[dict[str, Any], list[tuple[int, Policy, int]], int | None],
 ) -> tuple[list[Done], Exception | None]:
     """The pool entry: rebuild the config, then :func:`_simulate` (picklable).
 
     ``config_dict`` is the batch's first cell's config; the other cells
     may differ only in ``seed``.
     """
-    config_dict, items, tile_rows, kernel_backend = payload
-    sim = Simulator(
-        SimulationConfig.from_dict(config_dict),
-        tile_rows=tile_rows,
-        kernel_backend=kernel_backend,
-    )
+    config_dict, items, tile_rows = payload
+    sim = Simulator(SimulationConfig.from_dict(config_dict), tile_rows=tile_rows)
     return _simulate(sim, items)
 
 
@@ -268,15 +259,10 @@ class SerialExecutor:
         # config-major; retaining every scenario's streams would
         # balloon peak memory on many-config sweeps).
         for group in _consecutive_groups(
-            tasks,
-            key=lambda t: (id(t.cell.config), t.tile_rows, t.kernel_backend),
+            tasks, key=lambda t: (id(t.cell.config), t.tile_rows)
         ):
             config = group[0].cell.config
-            sim = Simulator(
-                config,
-                tile_rows=group[0].tile_rows,
-                kernel_backend=group[0].kernel_backend,
-            )
+            sim = Simulator(config, tile_rows=group[0].tile_rows)
             for task in group:
                 emit(CellStarted(tag=task.cell.tag, index=task.index))
             done, failure = _simulate(
@@ -320,7 +306,6 @@ class _PoolExecutorBase:
                     _task_config_dict(batch[0]),
                     [(t.index, t.cell.policy, t.cell.config.seed) for t in batch],
                     batch[0].tile_rows,
-                    batch[0].kernel_backend,
                 )
                 futures[pool.submit(_simulate_payload, payload)] = batch
                 for task in batch:
@@ -407,7 +392,7 @@ class BatchedExecutor(_PoolExecutorBase):
         # of the same scenario (the worker re-seeds per cell through
         # Simulator.run_many_seed).
         group_keys: dict[int, str] = {}  # id(cell.config) -> seedless JSON
-        batches: dict[tuple[str, int | None, str | None], list[CellTask]] = {}
+        batches: dict[tuple[str, int | None], list[CellTask]] = {}
         for task in tasks:
             config_id = id(task.cell.config)
             group_key = group_keys.get(config_id)
@@ -418,12 +403,10 @@ class BatchedExecutor(_PoolExecutorBase):
                     sort_keys=True,
                     separators=(",", ":"),
                 )
-            # tile_rows / kernel_backend ride along in the key (not the
-            # scenario JSON): a batch shares one Simulator, so it must
-            # be uniform in its execution knobs.
-            batches.setdefault(
-                (group_key, task.tile_rows, task.kernel_backend), []
-            ).append(task)
+            # tile_rows rides along in the key (not the scenario JSON):
+            # a batch shares one Simulator, so it must be uniform in its
+            # execution knob.
+            batches.setdefault((group_key, task.tile_rows), []).append(task)
         return list(batches.values())
 
 

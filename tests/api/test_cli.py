@@ -34,15 +34,10 @@ class TestList:
     def test_list_everything(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for section in ("policies:", "datasets:", "systems:", "kernels:", "figures:"):
+        for section in ("policies:", "datasets:", "systems:", "figures:"):
             assert section in out
+        assert "kernels:" not in out
         assert "fig12" in out
-
-    def test_list_kernels(self, capsys):
-        assert main(["list", "kernels"]) == 0
-        out = capsys.readouterr().out
-        assert "numpy" in out and "numba" in out
-        assert "default" in out
 
 
 class TestRun:
@@ -90,18 +85,6 @@ class TestRun:
         rc = main(["run", "--scenario", json.dumps(tiny_dict()), "--epochs", "5"])
         assert rc == 2
         assert "--epochs" in capsys.readouterr().err
-
-    def test_run_kernels_flag_identical_output(self, capsys):
-        assert main([*RUN_FLAGS, "--json", "-"]) == 0
-        default = capsys.readouterr().out
-        assert main([*RUN_FLAGS, "--json", "-", "--kernels", "numpy"]) == 0
-        explicit = capsys.readouterr().out
-        assert default[default.index("{"):] == explicit[explicit.index("{"):]
-
-    def test_run_unknown_kernels_suggests(self, capsys):
-        assert main([*RUN_FLAGS, "--kernels", "numpyy"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown kernel backend" in err and "did you mean" in err
 
 
 class TestSweepAndCache:

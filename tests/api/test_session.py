@@ -139,40 +139,47 @@ class TestExecutors:
             Session(cache_dir=tmp_path, cache="mem:")
 
 
-class TestKernelBackend:
-    def test_session_backend_configurable(self):
-        assert Session().runner.kernel_backend is None
-        assert Session(kernel_backend="numpy").runner.kernel_backend == "numpy"
+class TestTileRows:
+    def test_session_tile_rows_configurable(self):
+        assert Session().runner.tile_rows is None
+        assert Session(tile_rows=2).runner.tile_rows == 2
 
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            Session(kernel_backend="nunba")
+    def test_invalid_tile_rows_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="tile_rows"):
+            Session(tile_rows=0)
 
-    def test_backend_run_bitwise_identical(self):
+    def test_tiled_run_bitwise_identical(self):
         s = tiny()
-        assert (
-            Session(kernel_backend="numpy").run(s).to_json()
-            == Session().run(s).to_json()
-        )
+        assert Session(tile_rows=1).run(s).to_json() == Session().run(s).to_json()
 
-    def test_sweep_backend_override_bitwise_identical(self):
+    def test_sweep_tile_rows_override_bitwise_identical(self):
         default = Session().sweep(SCENARIOS)
-        override = Session().sweep(SCENARIOS, kernel_backend="numpy")
+        override = Session().sweep(SCENARIOS, tile_rows=1)
         for tag, result in default.results.items():
             assert override[tag].to_json() == result.to_json()
 
-    def test_backend_switch_keeps_session_cache_warm(self):
-        """The backend stays out of cache keys (like tile_rows)."""
-        backend = InMemoryBackend()
-        session = Session(cache=backend)
+    def test_tile_rows_override_keeps_session_cache_warm(self):
+        """The tile height stays out of cache keys."""
+        session = Session(cache=InMemoryBackend())
         session.sweep(SCENARIOS)
-        warm = session.sweep(SCENARIOS, kernel_backend="numpy")
+        warm = session.sweep(SCENARIOS, tile_rows=1)
         assert warm.stats.misses == 0
 
-    def test_override_runner_inherits_session_backend(self):
-        session = Session(kernel_backend="numpy")
+    def test_override_runner_inherits_session_tile_rows(self, monkeypatch):
+        ran: list[tuple[SweepRunner, int | None]] = []
+        original = SweepRunner.run
+
+        def recording_run(runner, grid):
+            ran.append((runner, runner.tile_rows))
+            return original(runner, grid)
+
+        monkeypatch.setattr(SweepRunner, "run", recording_run)
+        session = Session(tile_rows=2)
         outcome = session.sweep(SCENARIOS, jobs=2)  # one-off runner
         assert len(outcome) == len(SCENARIOS)
+        [(runner, tile_rows)] = ran
+        assert runner is not session.runner
+        assert tile_rows == 2
 
 
 class TestEvents:

@@ -166,6 +166,24 @@ class TestCounters:
         assert sim.seed_variant(3) is sim.seed_variant(3)
         assert sim.seed_share.variants == 1
 
+    def test_variant_runs_on_the_assigned_kernel_bundle(self):
+        """A bundle assigned to ``sim.kernels`` is the one variants run."""
+        sim = Simulator(_config())
+        original = sim.kernels.accumulate_rows
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        bundle = dataclasses.replace(sim.kernels, accumulate_rows=counted)
+        sim.kernels = bundle
+        policy = NaivePolicy()
+        result = sim.run_seed(policy, 3)
+        assert sim.seed_variant(3).kernels is bundle
+        assert calls
+        assert result.to_json() == _fresh(_config(), policy, 3)
+
     def test_run_many_seed_mirrors_run_seed_counters(self):
         """Grouped prep counters match the sequential run_seed semantics."""
         sequential = Simulator(_config())

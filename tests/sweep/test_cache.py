@@ -106,6 +106,59 @@ class TestCellKey:
         assert cell_key(config, NoPFSPolicy()) != before
 
 
+class TestNumpyStackFingerprint:
+    """Cache keys and manifests change with numpy's major.minor."""
+
+    @pytest.fixture()
+    def numpy_version(self, monkeypatch):
+        from repro.sweep import code_fingerprint
+
+        def use(version):
+            monkeypatch.setattr(np, "__version__", version)
+            code_fingerprint.cache_clear()
+            return code_fingerprint()
+
+        yield use
+        monkeypatch.undo()
+        code_fingerprint.cache_clear()
+
+    def test_minor_version_changes_fingerprint_and_key(self, config, numpy_version):
+        old_fp = numpy_version("1.26.4")
+        old_key = cell_key(config, NoPFSPolicy())
+        new_fp = numpy_version("2.4.6")
+        assert new_fp != old_fp
+        assert cell_key(config, NoPFSPolicy()) != old_key
+
+    def test_patch_version_keeps_fingerprint(self, numpy_version):
+        fingerprint = numpy_version("2.4.0")
+        assert fingerprint.endswith("-numpy2.4")
+        assert numpy_version("2.4.6") == fingerprint
+
+    def test_unreadable_source_fallback_names_numpy(self, monkeypatch, numpy_version):
+        from pathlib import Path
+
+        from repro import __version__
+
+        def unreadable(self):
+            raise OSError("zipped install")
+
+        monkeypatch.setattr(Path, "read_bytes", unreadable)
+        assert numpy_version("1.26.4") == f"{__version__}-numpy1.26"
+        assert numpy_version("2.4.6") == f"{__version__}-numpy2.4"
+
+    def test_merge_refuses_manifests_from_different_minors(self, config, numpy_version):
+        from repro.errors import ConfigurationError
+        from repro.sweep import ShardManifest, SweepCell, merge_manifests
+
+        cells = [SweepCell(tag="nopfs", config=config, policy=NoPFSPolicy())]
+        numpy_version("1.26.4")
+        old = ShardManifest.for_cells(cells)
+        numpy_version("2.4.6")
+        new = ShardManifest.for_cells(cells)
+        with pytest.raises(ConfigurationError, match="different code versions"):
+            merge_manifests([old, new])
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path, config, result):
         cache = ResultCache(tmp_path)

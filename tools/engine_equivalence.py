@@ -17,13 +17,12 @@ the unsupported/PolicyError path — flows through both engines.
 
 Every production run goes through the simulator's one epoch-major
 loop; the flags change how cells enter it. By default each cell runs
-alone (``Simulator.run``). ``--kernels`` runs the production engine
-under a named kernel backend (``repro list kernels``), ``--share-seeds``
-reaches each cell's seed from a base simulator on a *different* seed
-(``Simulator.run_seed``), and ``--run-many`` evaluates each scenario's
-cells together in one batch (``Simulator.run_many_outcomes`` /
-``run_many_seed``). All are execution knobs with a bitwise-identity
-contract, so the byte-diff must stay empty for every combination.
+alone (``Simulator.run``). ``--share-seeds`` reaches each cell's seed
+from a base simulator on a *different* seed (``Simulator.run_seed``),
+and ``--run-many`` evaluates each scenario's cells together in one
+batch (``Simulator.run_many_outcomes`` / ``run_many_seed``). Both are
+execution knobs with a bitwise-identity contract, so the byte-diff
+must stay empty for every combination.
 Pairing ``--run-many`` with a ``REPRO_PERM_CACHE_MAX_ELEMENTS=0``
 environment exercises the cache-disabled rolling-slot sharing on these
 small scenarios.
@@ -31,8 +30,7 @@ small scenarios.
 Usage::
 
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR
-    python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR \
-        --kernels numba --share-seeds
+    python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --share-seeds
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many
     diff -r REFERENCE_DIR ENGINE_DIR
 """
@@ -86,11 +84,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("reference_dir", help="cache filled by the frozen seed engine")
     parser.add_argument("engine_dir", help="cache filled by the production engine")
     parser.add_argument(
-        "--kernels", default=None, metavar="BACKEND",
-        help="run the production engine under this kernel backend "
-        "(default numpy; numba falls back with a warning when missing)",
-    )
-    parser.add_argument(
         "--share-seeds", action="store_true",
         help="route every cell through Simulator.run_seed from a base "
         "simulator on a different seed (the seed-sharing path)",
@@ -120,10 +113,7 @@ def main(argv: list[str] | None = None) -> int:
                 # The engine simulator lives on a *different* seed; every
                 # run below reaches the cell's true seed via run_seed.
                 engine_config = dataclasses.replace(config, seed=config.seed + 1)
-            simulators[scenario] = (
-                ReferenceSimulator(config),
-                Simulator(engine_config, kernel_backend=args.kernels),
-            )
+            simulators[scenario] = (ReferenceSimulator(config), Simulator(engine_config))
         reference_sim, engine_sim = simulators[scenario]
 
         ref = _outcome(lambda: reference_sim.run(cell.policy))

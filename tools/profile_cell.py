@@ -59,7 +59,6 @@ PHASES = ("plan", "resolve_fetch", "rng", "noise", "accumulate")
 
 #: The kernel-bundle fields folded into the ``accumulate`` phase.
 _KERNEL_FIELDS = (
-    "hash01",
     "warmup_remote_classes",
     "batch_totals",
     "source_totals",
@@ -106,7 +105,8 @@ def profile_cell(args: argparse.Namespace) -> dict:
             for field in _KERNEL_FIELDS
         },
     )
-    sim = Simulator(config, kernel_backend=timed_backend)
+    sim = Simulator(config)
+    sim.kernels = timed_backend
     sim.plan_epoch = _timed(sim.plan_epoch, phases, "plan")
     if args.fresh_rng:
         seed = config.seed
