@@ -8,9 +8,10 @@ Benchmarks the innermost hot path under every sweep cell — one
   (``tests/sim/reference_engine.py``) while producing
   bitwise-identical results.
 * **N=1024** (the paper-scale tier): a Sec 7-sized scenario —
-  1024 workers over a multi-million-sample stream — must complete
-  with streaming tiles (``tile_rows=PAPER_SCALE_TILE_ROWS``) under the
-  documented peak-memory bound, bitwise-identical to the untiled run.
+  1024 workers over a multi-million-sample stream — must complete on
+  the default engine, which streams the epoch in bands derived from
+  ``TILE_ELEMENTS``, under the documented peak-memory bound,
+  bitwise-identical to a run in one full-height band.
 
 CI uploads the pytest-benchmark timings as ``BENCH_engine.json`` plus
 the rendered comparisons; ``tools/bench_gate.py`` compares the timings
@@ -36,6 +37,7 @@ from repro.sim import (  # noqa: E402
     SimulationConfig,
     Simulator,
     StagingBufferPolicy,
+    engine,
 )
 from tests.sim.reference_engine import ReferenceSimulator  # noqa: E402
 
@@ -45,15 +47,13 @@ NUM_WORKERS = 64
 
 #: The paper's headline scale (Sec 7: up to 1024 workers).
 PAPER_SCALE_WORKERS = 1024
-#: Streaming tile height for the paper-scale runs: 64-worker bands keep
-#: every per-sample float matrix at ~1.5 MB while the untiled run
-#: materializes ~25 MB per temporary.
-PAPER_SCALE_TILE_ROWS = 64
-#: Documented peak-allocation bound (tracemalloc, MB) for the tiled
-#: N=1024 run. Measured ~134 MB (dominated by the policy's placement
-#: lookups and the cached id permutations, not per-sample floats); the
-#: untiled run peaks ~504 MB. The bound carries slack for allocator
-#: variance across numpy versions, not for regressions.
+#: Documented peak-allocation bound (tracemalloc, MB) for the default
+#: engine's N=1024 run, whose bands of ``TILE_ELEMENTS // L`` = 170
+#: workers keep every per-sample float matrix near 4 MB. Measured
+#: ~176 MB (dominated by the policy's placement lookups and the cached
+#: id permutations, not per-sample floats); one full-height band peaks
+#: ~504 MB. The bound carries slack for allocator variance across
+#: numpy versions, not for regressions.
 PAPER_SCALE_TILED_PEAK_MB = 256.0
 
 
@@ -150,31 +150,38 @@ def _traced_run(sim, policy):
     return result, wall, peak / 2**20
 
 
-def test_engine_paper_scale(report):
-    """N=1024: tiled run is bitwise-equal to untiled and memory-bounded.
+def test_engine_paper_scale(report, monkeypatch):
+    """N=1024: the default engine is bitwise-equal to one full-height
+    band and memory-bounded.
 
     Peak memory is measured with ``tracemalloc`` (it traces every numpy
     buffer and, unlike RSS, is deterministic across allocator reuse),
-    after warming the shared scenario context so both runs are charged
-    only for their own working set.
+    after warming the shared scenario context's permutations. The
+    full-height run goes first and also pays the run-invariant state
+    the context builds lazily on first use, so the default run is
+    charged only for its own working set.
     """
     config = _paper_scenario()
     ctx = ScenarioContext(config)
     for epoch in range(config.num_epochs):
         ctx.epoch_matrix(epoch)
+    samples = config.iterations_per_epoch * config.batch_size
+    band_rows = max(1, engine.TILE_ELEMENTS // samples)
 
-    untiled, untiled_s, untiled_mb = _traced_run(
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "TILE_ELEMENTS", ctx.num_workers * samples)
+        full, full_s, full_mb = _traced_run(
+            Simulator(config, ctx=ctx), NoPFSPolicy()
+        )
+    banded, banded_s, banded_mb = _traced_run(
         Simulator(config, ctx=ctx), NoPFSPolicy()
     )
-    tiled, tiled_s, tiled_mb = _traced_run(
-        Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS, ctx=ctx), NoPFSPolicy()
-    )
 
-    assert json.dumps(tiled.to_dict(), sort_keys=True) == json.dumps(
-        untiled.to_dict(), sort_keys=True
-    ), "tiled paper-scale run diverges from untiled execution"
-    assert tiled_mb < PAPER_SCALE_TILED_PEAK_MB, (
-        f"tiled N={PAPER_SCALE_WORKERS} run peaked at {tiled_mb:.1f} MB; "
+    assert json.dumps(banded.to_dict(), sort_keys=True) == json.dumps(
+        full.to_dict(), sort_keys=True
+    ), "banded paper-scale run diverges from full-height execution"
+    assert banded_mb < PAPER_SCALE_TILED_PEAK_MB, (
+        f"default N={PAPER_SCALE_WORKERS} run peaked at {banded_mb:.1f} MB; "
         f"documented bound is {PAPER_SCALE_TILED_PEAK_MB:.0f} MB"
     )
 
@@ -186,10 +193,10 @@ def test_engine_paper_scale(report):
                 f"scenario: N={PAPER_SCALE_WORKERS} workers, "
                 f"F={config.dataset.num_samples:,} samples, "
                 f"E={config.num_epochs} epochs, B={config.batch_size}",
-                f"untiled:              {untiled_s:6.2f}s  peak {untiled_mb:7.1f} MB",
-                f"tiled (tile_rows={PAPER_SCALE_TILE_ROWS}):  "
-                f"{tiled_s:6.2f}s  peak {tiled_mb:7.1f} MB",
-                f"matrix cells/s (tiled): {cells / tiled_s:,.0f}",
+                f"one full-height band:  {full_s:6.2f}s  peak {full_mb:7.1f} MB",
+                f"default ({band_rows}-row bands): "
+                f"{banded_s:6.2f}s  peak {banded_mb:7.1f} MB",
+                f"matrix cells/s (default): {cells / banded_s:,.0f}",
                 "results: bitwise-identical",
             ]
         ),
@@ -197,9 +204,9 @@ def test_engine_paper_scale(report):
 
 
 def test_engine_paper_scale_throughput(benchmark):
-    """Timing series for BENCH_engine.json: one tiled N=1024 cell."""
+    """Timing series for BENCH_engine.json: one N=1024 cell."""
     config = _paper_scenario()
-    sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS)
+    sim = Simulator(config)
     sim.run(NaivePolicy())  # warm the scenario state once
     benchmark.pedantic(sim.run, args=(NoPFSPolicy(),), rounds=2, iterations=1)
 
@@ -501,7 +508,7 @@ def test_engine_run_many_uncached(report, monkeypatch):
 
     monkeypatch.setenv("REPRO_PERM_CACHE_MAX_ELEMENTS", "0")
     config = _paper_scenario()
-    sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS)
+    sim = Simulator(config)
     assert not sim.ctx.cache_enabled
     policies = [make_policy(spec) for spec in RUN_MANY_POLICIES]
 
@@ -539,8 +546,7 @@ def test_engine_run_many_uncached(report, monkeypatch):
                 f"E={config.num_epochs} epochs, B={config.batch_size}, "
                 f"permutation cache disabled",
                 f"lineup: {', '.join(RUN_MANY_POLICIES)} "
-                f"({len(policies)} policies, tile_rows="
-                f"{PAPER_SCALE_TILE_ROWS})",
+                f"({len(policies)} policies)",
                 f"wall: {wall:6.2f}s  "
                 f"({len(policies) / wall:5.2f} cells/s)  "
                 f"peak {peak_mb:6.1f} MB",
@@ -560,7 +566,7 @@ def test_engine_run_many_uncached_throughput(benchmark, monkeypatch):
 
     monkeypatch.setenv("REPRO_PERM_CACHE_MAX_ELEMENTS", "0")
     config = _paper_scenario()
-    sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS)
+    sim = Simulator(config)
     policies = [make_policy(spec) for spec in RUN_MANY_POLICIES]
     sim.run_many_outcomes(policies)  # warm the scenario state once
     benchmark.pedantic(

@@ -62,11 +62,6 @@ class Session:
         (``dir:/path``, ``mem:``, ``mem:shared``) or a live
         :class:`~repro.sweep.backends.CacheBackend` — the seam remote
         cache stores plug into.
-    tile_rows:
-        Engine streaming tile height (worker rows per execute-phase
-        band) to bound peak memory on paper-scale scenarios; ``None``
-        executes whole epochs at once. Results and cache entries are
-        bitwise identical for every value.
     """
 
     def __init__(
@@ -76,15 +71,10 @@ class Session:
         *,
         executor: "str | Executor | None" = None,
         cache: "str | Path | CacheBackend | ResultCache | None" = None,
-        tile_rows: int | None = None,
     ) -> None:
         self._executor_spec = executor
         self._runner = SweepRunner(
-            n_jobs=jobs,
-            cache_dir=cache_dir,
-            executor=executor,
-            cache=cache,
-            tile_rows=tile_rows,
+            n_jobs=jobs, cache_dir=cache_dir, executor=executor, cache=cache
         )
 
     @property
@@ -187,22 +177,21 @@ class Session:
         cache_dir: str | Path | None = None,
         executor: "str | Executor | None" = None,
         cache: "str | Path | CacheBackend | ResultCache | None" = None,
-        tile_rows: int | None = None,
         on_event: Callable[[SweepEvent], None] | None = None,
     ) -> SweepOutcome:
         """Evaluate a grid (optionally one shard of it) and collect results.
 
-        ``jobs`` / ``cache_dir`` / ``executor`` / ``cache`` /
-        ``tile_rows`` override the session's configuration for this
-        call only (a one-off runner executes the
-        sweep on the session's progress bus; its counters are folded
-        into :attr:`stats` so the session totals stay complete).
+        ``jobs`` / ``cache_dir`` / ``executor`` / ``cache`` override
+        the session's configuration for this call only (a one-off
+        runner executes the sweep on the session's progress bus; its
+        counters are folded into :attr:`stats` so the session totals
+        stay complete).
         ``on_event`` subscribes a progress listener for just this sweep
         — every cell lifecycle transition (:mod:`repro.sweep.events`)
         is delivered to it.
         """
         runner = self._runner
-        if any(v is not None for v in (jobs, cache_dir, executor, cache, tile_rows)):
+        if any(v is not None for v in (jobs, cache_dir, executor, cache)):
             if cache is None and cache_dir is None:
                 # Inherit the session's cache *object* so overridden
                 # sweeps still share its entries (and its backend).
@@ -216,9 +205,6 @@ class Session:
                 # the right default (serial for 1, batched above).
                 executor=executor if executor is not None else self._executor_spec,
                 bus=self._runner.bus,
-                tile_rows=(
-                    self._runner.tile_rows if tile_rows is None else tile_rows
-                ),
             )
         unsubscribe = None if on_event is None else runner.bus.subscribe(on_event)
         try:

@@ -170,7 +170,7 @@ class _RecordedPlan:
     pfs_latency_s: float
     observed: EpochTile = field(repr=False)
 
-    def tiles(self, tile_rows: int | None) -> Iterator[EpochTile]:
+    def tiles(self) -> Iterator[EpochTile]:
         yield self.observed
 
 

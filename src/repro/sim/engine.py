@@ -20,8 +20,8 @@ workers by ``L = T * B`` samples — in two phases:
    Per epoch only the id permutation is resolved, yielding an
    :class:`EpochPlan`.
 2. **Execute** (:meth:`Simulator.execute_epoch`): the plan is
-   materialized tile by tile (:meth:`EpochPlan.tiles`) — contiguous
-   worker-row bands of configurable height ``tile_rows`` — and pure
+   materialized band by band (:meth:`EpochPlan.tiles`) — contiguous
+   worker-row bands of ``max(1, TILE_ELEMENTS // L)`` rows — and pure
    array kernels (:mod:`repro.sim.kernels`) resolve fetch sources
    vectorially for each band (local tier / fastest remote tier / PFS —
    Sec 4's three cases), apply seeded per-worker noise, and aggregate
@@ -30,14 +30,15 @@ workers by ``L = T * B`` samples — in two phases:
    which turns them into global batch completion times under the
    allreduce barrier and the staging-buffer lookahead window.
 
-With ``tile_rows=None`` (the default) an epoch is one full-height tile
-— the PR-5 behaviour. With a finite ``tile_rows`` the float
-``(N, L)`` working set (sizes, fetch times, noise draws, read times)
-exists only ``tile_rows`` rows at a time, so paper-scale scenarios
-(N=1024 over multi-million-sample streams) execute in bounded memory.
+The band height is derived from the epoch's shape, never configured:
+each float ``(rows, L)`` temporary (sizes, fetch times, noise draws,
+read times) holds at most :data:`TILE_ELEMENTS` elements (one row when
+``L`` alone exceeds it), so an epoch small enough to fit is one
+full-height band and a paper-scale epoch (N=1024 over multi-million-
+sample streams) streams in bounded memory.
 Every per-element float operation is row-local and the cross-worker
 reductions run after the loop in strict worker order, so results are
-**bitwise identical for every tile height** — pinned, along with the
+**bitwise identical for every band height** — pinned, along with the
 equivalence to the seed scalar engine, by
 ``tests/sim/test_engine_equivalence.py`` and ``tests/sim/test_tiling.py``
 against the reference copy kept in ``tests/sim/reference_engine.py``.
@@ -57,7 +58,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ..errors import ConfigurationError, PolicyError
+from ..errors import PolicyError
 from ..perfmodel import Source, resolve_fetch, write_times
 from . import kernels
 from .backends import KernelBackend, resolve_kernel_backend
@@ -74,8 +75,14 @@ __all__ = [
     "EpochPlan",
     "EpochTile",
     "SeedShareStats",
+    "TILE_ELEMENTS",
     "analytic_lower_bound",
 ]
+
+#: Elements per execute-phase band: each float64 ``(rows, L)``
+#: temporary stays near 4 MB, small enough to stay cache- and
+#: allocator-friendly and large enough that per-band overhead is noise.
+TILE_ELEMENTS = 1 << 19
 
 
 def analytic_lower_bound(
@@ -182,8 +189,8 @@ class EpochPlan:
         """Materialize the size/class matrices for one row band.
 
         Whole-epoch tiles over the canonical stream reuse the plan
-        cache's shared per-epoch size gather; partial tiles gather just
-        their band. Class resolution is row-local by construction —
+        cache's shared per-epoch size gather; partial bands gather just
+        their own rows. Class resolution is row-local by construction —
         local tiers via the band's workers' lookups
         (``worker_offset=rows.start``), remote tiers via the placement
         gather, warm-up availability via the column-indexed progress
@@ -194,10 +201,6 @@ class EpochPlan:
         ids = self.ids[rows]
         if self.shared_ids and ids.shape[0] == self.ids.shape[0]:
             sizes = self.cache.sizes_matrix(self.epoch, self.ids)
-        elif self.shared_ids:
-            # A canonical-stream band can slice an epoch gather that
-            # already exists; otherwise it gathers just its own rows.
-            sizes = self.cache.sizes_band(self.epoch, ids, rows)
         else:
             sizes = self.cache.ctx.sizes_mb[ids]
 
@@ -221,15 +224,15 @@ class EpochPlan:
             remote_classes=remote_cls,
         )
 
-    def tiles(self, tile_rows: int | None) -> Iterator[EpochTile]:
-        """Iterate the epoch as row bands of height ``tile_rows``.
+    def tiles(self) -> Iterator[EpochTile]:
+        """Iterate the epoch as row bands of ``TILE_ELEMENTS // L`` rows.
 
-        ``None`` yields the epoch as a single full-height tile (the
-        untiled fast path); otherwise bands of ``tile_rows`` workers
-        (the last band ragged) are materialized lazily, one at a time.
+        An epoch of at most :data:`TILE_ELEMENTS` elements is a single
+        full-height tile; larger ones are materialized lazily, one band
+        at a time (the last band ragged, every band at least one row).
         """
-        n = self.ids.shape[0]
-        step = n if tile_rows is None else max(1, min(int(tile_rows), n))
+        n, length = self.ids.shape
+        step = max(1, TILE_ELEMENTS // length)
         for start in range(0, n, step):
             yield self.tile(slice(start, min(start + step, n)))
 
@@ -275,11 +278,6 @@ class Simulator:
     ----------
     config:
         The scenario to simulate.
-    tile_rows:
-        Execute epochs in row bands of this many workers to bound peak
-        memory (``None`` = whole epochs at once). Any value yields
-        bitwise-identical results; see :mod:`docs/performance.md` for
-        the memory/speed trade-off.
     ctx:
         Reuse an existing :class:`ScenarioContext` built from the same
         ``config`` (e.g. to share cached permutations between
@@ -293,15 +291,9 @@ class Simulator:
     def __init__(
         self,
         config: SimulationConfig,
-        tile_rows: int | None = None,
         ctx: ScenarioContext | None = None,
     ) -> None:
-        if tile_rows is not None and int(tile_rows) < 1:
-            raise ConfigurationError(
-                f"tile_rows must be a positive worker count, got {tile_rows!r}"
-            )
         self.config = config
-        self.tile_rows = None if tile_rows is None else int(tile_rows)
         self.kernels = resolve_kernel_backend(None)
         self.ctx = ctx if ctx is not None else ScenarioContext(config)
         self.plan_cache = PlanCache(self.ctx)
@@ -445,7 +437,7 @@ class Simulator:
         :class:`~repro.datasets.DatasetModel` instance (so the
         materialized sample-size table is built once — the dataset's
         sizes derive from its *own* seed, not the simulation seed), the
-        kernel bundle and tile height, and — via
+        kernel bundle, and — via
         :meth:`~repro.sim.plancache.PlanCache.adopt_invariants` — the
         plan cache's cold-class template and every already-computed
         :class:`~repro.sim.plancache.PlanScalars`. Only the genuinely
@@ -459,7 +451,7 @@ class Simulator:
         sim = self._seed_variants.get(seed)
         if sim is None:
             config = dataclasses.replace(self.config, seed=seed)
-            sim = Simulator(config, tile_rows=self.tile_rows)
+            sim = Simulator(config)
             sim.kernels = self.kernels
             self._seed_variants[seed] = sim
             self.seed_share.variants += 1
@@ -602,7 +594,7 @@ class Simulator:
 
         ``plan`` may be any object with the :class:`EpochPlan` surface
         (``epoch`` / ``gamma`` / ``pfs_share_mbps`` / ``pfs_latency_s``
-        and a ``tiles(tile_rows)`` iterator).
+        and a ``tiles()`` iterator).
 
         Per-sample float work (fetch resolution, latency, noise, write
         times, per-batch totals) happens inside the tile loop on
@@ -610,7 +602,7 @@ class Simulator:
         ``(N, 4)`` per-source aggregates persist across tiles. The
         cross-worker reductions (:func:`kernels.accumulate_rows`) run
         after the loop over the assembled rows in strict worker order —
-        exactly the seed engine's accumulation order — so the tile
+        exactly the seed engine's accumulation order — so the band
         height never changes a single bit of the result.
         """
         cfg = self.config
@@ -628,7 +620,7 @@ class Simulator:
         bytes_by_source = np.zeros((n, kernels.NUM_SOURCES))
         counts_by_source = np.zeros((n, kernels.NUM_SOURCES), dtype=np.int64)
 
-        for tile in plan.tiles(self.tile_rows):
+        for tile in plan.tiles():
             rows = tile.rows
             comps = tile.sizes_mb / system.compute_mbps
             tile_comps = kb.batch_totals(comps, t_iters, batch)

@@ -222,15 +222,6 @@ class PlanCache:
 
     # -- shared epoch matrices ----------------------------------------------
 
-    def _lookup_sizes(self, epoch: int) -> np.ndarray | None:
-        """An already-materialized full sizes gather for ``epoch``, if any."""
-        if self.ctx.cache_enabled:
-            return self._sizes.get(epoch)
-        held = self._held_sizes
-        if held is not None and held[0] == epoch:
-            return held[1]
-        return None
-
     def sizes_matrix(self, epoch: int, ids: np.ndarray) -> np.ndarray:
         """The full ``(N, L)`` sizes gather for a clairvoyant epoch.
 
@@ -239,11 +230,16 @@ class PlanCache:
         ``run_many`` case. When the context's cache is size-capped the
         gather lives in a *rolling* one-epoch slot instead, so the
         epoch-major ``run_many`` loop still shares it across policies
-        while paper-scale memory stays bounded to one epoch. Callers
-        in tiled mode gather per band (:meth:`sizes_band`) and only
-        reuse a full gather that already exists.
+        while paper-scale memory stays bounded to one epoch. Only
+        whole-epoch tiles call this: an epoch the engine streams in
+        several bands gathers each band's own rows instead, so the
+        full ``(N, L)`` gather is never materialized for it.
         """
-        cached = self._lookup_sizes(epoch)
+        if self.ctx.cache_enabled:
+            cached = self._sizes.get(epoch)
+        else:
+            held = self._held_sizes
+            cached = held[1] if held is not None and held[0] == epoch else None
         if cached is not None:
             self.hits += 1
             return cached
@@ -255,22 +251,6 @@ class PlanCache:
         else:
             self._held_sizes = (epoch, sizes)
         return sizes
-
-    def sizes_band(self, epoch: int, ids: np.ndarray, rows: slice) -> np.ndarray:
-        """A tile band's sizes gather, sliced from a shared epoch gather.
-
-        Fancy-indexing is row-local, so ``full_gather[rows]`` is
-        bitwise equal to ``sizes_mb[ids]`` for the band's own ids; a
-        tile therefore reuses the epoch's shared gather whenever a
-        policy before it (or an untiled sibling) already materialized
-        it, and falls back to a plain band gather — never materializing
-        the full epoch itself, preserving tiled streaming memory.
-        """
-        cached = self._lookup_sizes(epoch)
-        if cached is not None:
-            self.hits += 1
-            return cached[rows]
-        return self.ctx.sizes_mb[ids]
 
     # -- per-worker noise streams --------------------------------------------
 

@@ -264,7 +264,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         executor=args.executor,
         cache=args.cache,
-        tile_rows=args.tile_rows,
     )
     if args.progress:
         runner.bus.subscribe(ProgressPrinter())
@@ -366,12 +365,6 @@ def configure_run(sub) -> argparse.ArgumentParser:
         "--cache", default=None, metavar="SPEC",
         help="cache backend spec (dir:/path, mem:, mem:NAME); "
         "alternative to --cache-dir",
-    )
-    run.add_argument(
-        "--tile-rows", type=int, default=None, metavar="N",
-        help="engine streaming tile height (worker rows per band) to bound "
-        "peak memory on paper-scale scenarios; results are bitwise-identical "
-        "for every value (default: whole epochs)",
     )
     run.add_argument(
         "--progress", action="store_true",

@@ -12,8 +12,8 @@ plus the failure, if any. Three executors differ only in where that
 function runs and what each call gets:
 
 ``serial`` (:class:`SerialExecutor`)
-    In-process — easiest to debug/profile. Consecutive cells on one
-    config object share one ``Simulator`` built from the live config,
+    In-process — easiest to debug/profile. Runs one scenario batch at
+    a time on a ``Simulator`` built from the batch's live config,
     keeping only the *current* scenario's streams alive.
 
 ``process`` (:class:`ProcessExecutor`)
@@ -23,13 +23,16 @@ function runs and what each call gets:
 
 ``batched`` (:class:`BatchedExecutor`) — **the default when
 ``n_jobs > 1``**
-    Groups cells by their *seed-invariant* scenario fingerprint (the
-    canonical serialized config minus ``seed``) and sends each worker
-    one whole scenario batch. The worker rebuilds one ``Simulator`` and
-    runs all of that scenario's policies, across every noise seed in
-    the batch, so cells share access streams, and seed replicas (the
-    paper's Sec 7 multi-seed runs) also share the dataset size tables,
-    prepared policies and plan scalars.
+    Sends each worker one whole scenario batch. The worker rebuilds
+    one ``Simulator`` and runs all of that scenario's cells.
+
+``serial`` and ``batched`` share one grouping rule,
+:func:`_scenario_batches`: cells are batched by their *seed-invariant*
+scenario fingerprint (the canonical serialized config minus ``seed``),
+so one ``Simulator`` runs all of a scenario's policies across every
+noise seed in the batch. Cells share access streams, and seed replicas
+(the paper's Sec 7 multi-seed runs) also share the dataset size
+tables, prepared policies and plan scalars.
 
 All three produce **bitwise-identical** results: the simulator is
 deterministic in the config's seed, and every sharing the engine does
@@ -82,21 +85,15 @@ Emit = Callable[[SweepEvent], None]
 class CellTask:
     """One pending simulation handed to an executor.
 
-    ``config_dict`` is the cell's serialized config — the runner fills
-    it (memoized per config object) for out-of-process executors,
-    which must rebuild the config worker-side; in-process executors
-    may receive None and use ``cell.config`` directly.
-
-    ``tile_rows`` (the engine's streaming tile height; ``None`` = whole
-    epochs) is an execution knob, not part of the scenario: results are
-    bitwise identical for every value, so it deliberately stays out of
-    the config dict and therefore out of the cache key.
+    ``config_dict`` is the cell's serialized config, filled by the
+    runner (memoized per config object): executors group cells into
+    scenarios by it, and out-of-process executors rebuild the config
+    from it worker-side.
     """
 
     index: int
     cell: SweepCell
-    config_dict: dict[str, Any] | None = None
-    tile_rows: int | None = None
+    config_dict: dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -126,26 +123,16 @@ class Executor(Protocol):
 
     Implementations yield a :class:`CellResult` per task, in completion
     order, emitting progress events along the way; ``name`` labels the
-    strategy in stats and manifests; ``in_process`` tells the runner
-    whether tasks need their configs serialized (workers in other
-    processes cannot share the parent's objects).
+    strategy in stats and manifests.
     """
 
     name: str
-    in_process: bool
 
     def execute(
         self, tasks: Sequence[CellTask], emit: Emit
     ) -> Iterator[CellResult]:
         """Simulate ``tasks``, yielding one result each as it completes."""
         ...
-
-
-def _task_config_dict(task: CellTask) -> dict[str, Any]:
-    """The serialized config a pool payload needs (runner pre-fills it)."""
-    if task.config_dict is not None:
-        return task.config_dict
-    return task.cell.config.to_dict()
 
 
 def _consecutive_groups(items: Sequence, key: Callable) -> Iterator[list]:
@@ -212,16 +199,40 @@ def _simulate(
 
 
 def _simulate_payload(
-    payload: tuple[dict[str, Any], list[tuple[int, Policy, int]], int | None],
+    payload: tuple[dict[str, Any], list[tuple[int, Policy, int]]],
 ) -> tuple[list[Done], Exception | None]:
     """The pool entry: rebuild the config, then :func:`_simulate` (picklable).
 
     ``config_dict`` is the batch's first cell's config; the other cells
     may differ only in ``seed``.
     """
-    config_dict, items, tile_rows = payload
-    sim = Simulator(SimulationConfig.from_dict(config_dict), tile_rows=tile_rows)
-    return _simulate(sim, items)
+    config_dict, items = payload
+    return _simulate(Simulator(SimulationConfig.from_dict(config_dict)), items)
+
+
+def _scenario_batches(tasks: Sequence[CellTask]) -> list[list[CellTask]]:
+    """Batches of tasks sharing one scenario, in first-seen order.
+
+    The key is the canonical JSON of the config dict minus ``seed``:
+    equal-but-distinct config objects share one batch, and so do seed
+    replicas of one scenario (:func:`_simulate` re-seeds per cell
+    through :meth:`~repro.sim.engine.Simulator.run_many_seed`). The
+    JSON is built once per config *object* (kept alive by its cell, so
+    ids cannot be recycled mid-loop).
+    """
+    group_keys: dict[int, str] = {}  # id(cell.config) -> seedless JSON
+    batches: dict[str, list[CellTask]] = {}
+    for task in tasks:
+        config_id = id(task.cell.config)
+        group_key = group_keys.get(config_id)
+        if group_key is None:
+            group_key = group_keys[config_id] = json.dumps(
+                {k: v for k, v in task.config_dict.items() if k != "seed"},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+        batches.setdefault(group_key, []).append(task)
+    return list(batches.values())
 
 
 def _cell_result(done: Done, task: CellTask, emit: Emit) -> CellResult:
@@ -240,35 +251,31 @@ def _cell_result(done: Done, task: CellTask, emit: Emit) -> CellResult:
 class SerialExecutor:
     """In-process execution with per-scenario Simulator reuse.
 
-    Consecutive cells on one config object (Fig 8's nine policies on
-    one scenario) share one Simulator and run together through
-    :func:`_simulate`, so the scenario's permutations, size gathers
-    and noise RNG states are materialized once per epoch for the whole
-    group. The live ``cell.config`` is simulated directly (never
-    round-tripped through its dict), so memoized per-instance state
-    such as the dataset's size table carries over.
+    Every scenario batch (:func:`_scenario_batches` — e.g. Fig 8's
+    nine policies on one scenario, across its noise seeds) shares one
+    Simulator and runs together through :func:`_simulate`, so the
+    scenario's permutations, size gathers and noise RNG states are
+    materialized once per epoch for the whole batch. The batch's first
+    live ``cell.config`` is simulated directly (never round-tripped
+    through its dict), so memoized per-instance state such as the
+    dataset's size table carries over.
     """
 
     name = "serial"
-    in_process = True
 
     def execute(self, tasks: Sequence[CellTask], emit: Emit) -> Iterator[CellResult]:
-        """Simulate each task in order, yielding results as they finish."""
-        # Share one Simulator across consecutive cells on the same
-        # config — but keep only the *current* one alive (grids are
-        # config-major; retaining every scenario's streams would
-        # balloon peak memory on many-config sweeps).
-        for group in _consecutive_groups(
-            tasks, key=lambda t: (id(t.cell.config), t.tile_rows)
-        ):
-            config = group[0].cell.config
-            sim = Simulator(config, tile_rows=group[0].tile_rows)
-            for task in group:
+        """Simulate scenario by scenario, yielding results as they finish."""
+        # Only the *current* batch's Simulator is alive: retaining every
+        # scenario's streams would balloon peak memory on many-config
+        # sweeps.
+        for batch in _scenario_batches(tasks):
+            sim = Simulator(batch[0].cell.config)
+            for task in batch:
                 emit(CellStarted(tag=task.cell.tag, index=task.index))
             done, failure = _simulate(
-                sim, [(t.index, t.cell.policy, config.seed) for t in group]
+                sim, [(t.index, t.cell.policy, t.cell.config.seed) for t in batch]
             )
-            by_index = {task.index: task for task in group}
+            by_index = {task.index: task for task in batch}
             for cell in done:
                 yield _cell_result(cell, by_index[cell[0]], emit)
             if failure is not None:
@@ -303,9 +310,8 @@ class _PoolExecutorBase:
             futures: dict = {}
             for batch in batches:
                 payload = (
-                    _task_config_dict(batch[0]),
+                    batch[0].config_dict,
                     [(t.index, t.cell.policy, t.cell.config.seed) for t in batch],
-                    batch[0].tile_rows,
                 )
                 futures[pool.submit(_simulate_payload, payload)] = batch
                 for task in batch:
@@ -359,7 +365,6 @@ class ProcessExecutor(_PoolExecutorBase):
     """One cell per pool task: spreads even one scenario over workers."""
 
     name = "process"
-    in_process = False
 
     @staticmethod
     def group(tasks: Sequence[CellTask]) -> list[list[CellTask]]:
@@ -370,44 +375,13 @@ class ProcessExecutor(_PoolExecutorBase):
 class BatchedExecutor(_PoolExecutorBase):
     """Scenario-batched dispatch: one Simulator per scenario per worker.
 
-    Cells are grouped by their *seed-invariant* scenario fingerprint —
-    the canonical serialized config minus ``seed`` — in first-seen
-    order, so two equal-but-distinct config objects still share one
-    batch, and so do cells that differ only in their noise seed. Each
-    batch is one pool task: the worker rebuilds the scenario's
-    ``Simulator`` once and runs every (policy, seed) cell in the batch
-    through :func:`_simulate`.
+    Each :func:`_scenario_batches` batch is one pool task: the worker
+    rebuilds the scenario's ``Simulator`` once and runs every
+    (policy, seed) cell in the batch through :func:`_simulate`.
     """
 
     name = "batched"
-    in_process = False
-
-    @staticmethod
-    def group(tasks: Sequence[CellTask]) -> list[list[CellTask]]:
-        """Batches of tasks sharing one scenario, in first-seen order."""
-        # The serialization memo keys on the config *object* (kept
-        # alive by its cell, so ids cannot be recycled mid-loop), while
-        # batches key on the canonical seed-stripped JSON — equal-but-
-        # distinct configs still share one batch, as do seed replicas
-        # of the same scenario (the worker re-seeds per cell through
-        # Simulator.run_many_seed).
-        group_keys: dict[int, str] = {}  # id(cell.config) -> seedless JSON
-        batches: dict[tuple[str, int | None], list[CellTask]] = {}
-        for task in tasks:
-            config_id = id(task.cell.config)
-            group_key = group_keys.get(config_id)
-            if group_key is None:
-                config_dict = _task_config_dict(task)
-                group_key = group_keys[config_id] = json.dumps(
-                    {k: v for k, v in config_dict.items() if k != "seed"},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            # tile_rows rides along in the key (not the scenario JSON):
-            # a batch shares one Simulator, so it must be uniform in its
-            # execution knob.
-            batches.setdefault((group_key, task.tile_rows), []).append(task)
-        return list(batches.values())
+    group = staticmethod(_scenario_batches)
 
 
 def resolve_executor(spec: "str | Executor | None", n_jobs: int) -> Executor:

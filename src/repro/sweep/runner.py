@@ -171,13 +171,6 @@ class SweepRunner:
         (the per-call override runners in
         :meth:`repro.api.session.Session.sweep` keep one subscriber
         set across runners this way). ``None`` creates a fresh bus.
-    tile_rows:
-        Engine streaming tile height: execute each epoch in bands of
-        this many worker rows to bound peak memory on paper-scale
-        scenarios (``None`` = whole epochs at once). Results — and
-        therefore cache keys and cached bytes — are bitwise identical
-        for every value, so it is an execution knob, not part of any
-        scenario fingerprint.
     """
 
     def __init__(
@@ -188,16 +181,12 @@ class SweepRunner:
         executor: "str | Executor | None" = None,
         cache: "str | Path | CacheBackend | ResultCache | None" = None,
         bus: ProgressBus | None = None,
-        tile_rows: int | None = None,
     ) -> None:
         if n_jobs is None:
             n_jobs = os.cpu_count() or 1
         if n_jobs < 1:
             raise ConfigurationError("n_jobs must be >= 1 (or None for all cores)")
-        if tile_rows is not None and int(tile_rows) < 1:
-            raise ConfigurationError("tile_rows must be >= 1 (or None for untiled)")
         self.n_jobs = int(n_jobs)
-        self.tile_rows = None if tile_rows is None else int(tile_rows)
         self.cache = _resolve_cache(cache, cache_dir)
         self.executor = resolve_executor(executor, self.n_jobs)
         #: The progress bus every sweep on this runner publishes to.
@@ -222,15 +211,12 @@ class SweepRunner:
         start = time.perf_counter()
         self.bus.emit(SweepStarted(total=len(cells)))
 
-        # Configs are serialized only when a cache key or a pool
-        # payload needs them, and once per config object (grids share
-        # one config across their policy cells).
-        serialize_configs = self.cache is not None or not self.executor.in_process
+        # Configs are serialized once per config object (grids share
+        # one config across their policy cells): cache keys, executor
+        # grouping and pool payloads all read the dict.
         config_dicts: dict[int, dict[str, Any]] = {}  # id(config) -> to_dict()
 
-        def config_dict_of(cell: SweepCell) -> dict[str, Any] | None:
-            if not serialize_configs:
-                return None
+        def config_dict_of(cell: SweepCell) -> dict[str, Any]:
             config_dict = config_dicts.get(id(cell.config))
             if config_dict is None:
                 config_dict = config_dicts[id(cell.config)] = cell.config.to_dict()
@@ -258,14 +244,7 @@ class SweepRunner:
                         CellCached(tag=cell.tag, index=idx, supported=cached.supported)
                     )
                 else:
-                    tasks.append(
-                        CellTask(
-                            index=idx,
-                            cell=cell,
-                            config_dict=config_dict,
-                            tile_rows=self.tile_rows,
-                        )
-                    )
+                    tasks.append(CellTask(index=idx, cell=cell, config_dict=config_dict))
             stats.misses = len(tasks)
 
             # Memoize each outcome as it lands (not after the whole

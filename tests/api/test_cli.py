@@ -129,6 +129,13 @@ class TestSweepAndCache:
         assert rc == 2
         assert "--grid-kwargs" in capsys.readouterr().err
 
+    def test_sweep_rejects_tile_rows(self, scenarios_file, capsys):
+        """The engine derives its band height; there is no flag for it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "run", "--scenarios", str(scenarios_file), "--tile-rows", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tile-rows" in capsys.readouterr().err
+
     def test_sweep_progress_lines_on_stderr(self, scenarios_file, capsys):
         rc = main(["sweep", "run", "--scenarios", str(scenarios_file),
                    "--executor", "batched", "--jobs", "2", "--progress"])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import Scenario, Session
 from repro.errors import ConfigurationError, PolicyError
-from repro.sim import Simulator
+from repro.sim import Simulator, engine
 from repro.sweep import (
     CellCached,
     CellFinished,
@@ -140,46 +140,15 @@ class TestExecutors:
 
 
 class TestTileRows:
-    def test_session_tile_rows_configurable(self):
-        assert Session().runner.tile_rows is None
-        assert Session(tile_rows=2).runner.tile_rows == 2
-
-    def test_invalid_tile_rows_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="tile_rows"):
-            Session(tile_rows=0)
-
-    def test_tiled_run_bitwise_identical(self):
+    def test_tiled_run_bitwise_identical(self, monkeypatch):
+        """One-row bands through Session match the default engine."""
         s = tiny()
-        assert Session(tile_rows=1).run(s).to_json() == Session().run(s).to_json()
-
-    def test_sweep_tile_rows_override_bitwise_identical(self):
-        default = Session().sweep(SCENARIOS)
-        override = Session().sweep(SCENARIOS, tile_rows=1)
-        for tag, result in default.results.items():
-            assert override[tag].to_json() == result.to_json()
-
-    def test_tile_rows_override_keeps_session_cache_warm(self):
-        """The tile height stays out of cache keys."""
-        session = Session(cache=InMemoryBackend())
-        session.sweep(SCENARIOS)
-        warm = session.sweep(SCENARIOS, tile_rows=1)
-        assert warm.stats.misses == 0
-
-    def test_override_runner_inherits_session_tile_rows(self, monkeypatch):
-        ran: list[tuple[SweepRunner, int | None]] = []
-        original = SweepRunner.run
-
-        def recording_run(runner, grid):
-            ran.append((runner, runner.tile_rows))
-            return original(runner, grid)
-
-        monkeypatch.setattr(SweepRunner, "run", recording_run)
-        session = Session(tile_rows=2)
-        outcome = session.sweep(SCENARIOS, jobs=2)  # one-off runner
-        assert len(outcome) == len(SCENARIOS)
-        [(runner, tile_rows)] = ran
-        assert runner is not session.runner
-        assert tile_rows == 2
+        default = Session().run(s).to_json()
+        config = s.build_config()
+        monkeypatch.setattr(
+            engine, "TILE_ELEMENTS", config.iterations_per_epoch * config.batch_size
+        )
+        assert Session().run(s).to_json() == default
 
 
 class TestEvents:

@@ -1,8 +1,9 @@
-"""Execution-knob equivalence matrix: tiling x seed sharing.
+"""Execution-path equivalence matrix: band height x seed sharing.
 
-``tile_rows`` and the seed-sharing ``run_seed`` path are execution
-knobs with a bitwise-identity contract: no combination may change a
-single simulated number. This suite pins every registered policy spec
+The execute phase's band height (forced here by shrinking
+:data:`repro.sim.engine.TILE_ELEMENTS`) and the seed-sharing
+``run_seed`` path carry a bitwise-identity contract: no combination
+may change a single simulated number. This suite pins every registered policy spec
 (canonical names plus the lineup variants) against the frozen seed
 engine (``tests/sim/reference_engine.py``) across the full knob cross
 product.
@@ -17,7 +18,7 @@ from repro.api import FIG8_POLICIES, POLICIES, TABLE1_POLICIES, make_policy
 from repro.datasets import DatasetModel
 from repro.errors import PolicyError
 from repro.perfmodel import sec6_cluster
-from repro.sim import SimulationConfig, Simulator
+from repro.sim import SimulationConfig, Simulator, engine
 
 from .reference_engine import ReferenceSimulator
 
@@ -55,21 +56,24 @@ def reference():
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["direct", "seed-shared"])
-@pytest.mark.parametrize("tile_rows", [None, 3], ids=["untiled", "tiled"])
+@pytest.mark.parametrize("band_rows", [None, 3], ids=["untiled", "tiled"])
 @pytest.mark.parametrize("spec", ALL_POLICY_SPECS)
-def test_knob_matrix_bitwise_identical(reference, spec, tile_rows, shared):
+def test_knob_matrix_bitwise_identical(reference, monkeypatch, spec, band_rows, shared):
     config = _config()
+    if band_rows is not None:
+        length = config.iterations_per_epoch * config.batch_size
+        monkeypatch.setattr(engine, "TILE_ELEMENTS", band_rows * length)
     policy = make_policy(spec)
     if shared:
         # Reach the target seed through another scenario's simulator,
         # exercising the shared-prep/adopted-scalars path.
-        base = Simulator(dataclasses.replace(config, seed=3), tile_rows=tile_rows)
+        base = Simulator(dataclasses.replace(config, seed=3))
         try:
             base.run(policy)  # prime the base seed's caches first
         except PolicyError:
             pass
         run = lambda: base.run_seed(policy, config.seed)
     else:
-        sim = Simulator(config, tile_rows=tile_rows)
+        sim = Simulator(config)
         run = lambda: sim.run(policy)
     assert _outcome(run) == reference[spec]

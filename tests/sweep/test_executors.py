@@ -75,7 +75,6 @@ class TestResolution:
     def test_custom_protocol_implementation_accepted(self):
         class EchoExecutor:
             name = "echo"
-            in_process = True
 
             def execute(self, tasks, emit):
                 return iter(())
@@ -183,19 +182,53 @@ class TestBatching:
         ]
         assert [len(b) for b in BatchedExecutor.group(tasks)] == [1, 1]
 
-    def test_execution_knobs_split_batches(self, config):
-        """tile_rows must be uniform within a batch."""
-        cells = policy_cells(config, POLICIES)
-        tasks = [
-            CellTask(
-                index=i,
-                cell=cell,
-                config_dict=cell.config.to_dict(),
-                tile_rows=(None, 8, 8)[i],
+    def test_serial_builds_one_simulator_per_scenario(self, tmp_path, monkeypatch):
+        """Four Scenario objects on one scenario share one serial Simulator.
+
+        Each Scenario builds its own config object; the serial executor
+        still groups them by scenario, so the epoch permutations are
+        built once (``perm_builds == E``), and its cache entries are
+        byte-identical to a batched sweep of the same cells.
+        """
+        from repro.api import Scenario, Session
+        from repro.sweep import executors
+
+        scenarios = [
+            Scenario(
+                policy=policy,
+                dataset="mnist",
+                system="sec6_cluster:2",
+                batch_size=16,
+                num_epochs=2,
+                scale=0.2,
             )
-            for i, cell in enumerate(cells)
+            for policy in ("naive", "staging_buffer", "nopfs", "locality_aware")
         ]
-        assert [len(b) for b in BatchedExecutor.group(tasks)] == [1, 2]
+        built = []
+
+        class RecordingSimulator(executors.Simulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(executors, "Simulator", RecordingSimulator)
+        serial = Session(jobs=1, executor="serial", cache=f"dir:{tmp_path / 'serial'}")
+        assert serial.sweep(scenarios).stats.misses == len(scenarios)
+        assert len(built) == 1
+        assert built[0].ctx.perm_builds == scenarios[0].build_config().num_epochs
+
+        batched = Session(jobs=2, executor="batched", cache=f"dir:{tmp_path / 'batched'}")
+        batched.sweep(scenarios)
+
+        def entries(root):
+            return {
+                path.relative_to(root): path.read_bytes()
+                for path in root.rglob("*.json")
+            }
+
+        serial_entries = entries(tmp_path / "serial")
+        assert len(serial_entries) == len(scenarios)
+        assert serial_entries == entries(tmp_path / "batched")
 
     def test_crash_keeps_finished_cells_of_same_batch(self, config):
         """A mid-batch crash memoizes the batch's earlier cells."""
