@@ -211,10 +211,15 @@ def test_engine_paper_scale_throughput(benchmark):
     benchmark.pedantic(sim.run, args=(NoPFSPolicy(),), rounds=2, iterations=1)
 
 
-# -- seed-sharing multi-cell execution (ISSUE 9) ---------------------------
+# -- multi-seed grids --------------------------------------------------------
 
 #: Fig 8-style replication seeds: same scenario, five noise seeds.
 FIG8_SEEDS = [3, 7, 11, 19, 23]
+
+
+def _seed_config(config, seed):
+    """``config`` under ``seed``, rebuilt from its dict as a pool worker does."""
+    return SimulationConfig.from_dict({**config.to_dict(), "seed": seed})
 
 
 def _run_lineup_fresh(config):
@@ -224,15 +229,12 @@ def _run_lineup_fresh(config):
     through ``_simulate_payload``) does for every one of the grid's 15
     cells: deserialize the cell's config and build a fresh
     :class:`Simulator` — scenario context, permutations and all — for
-    that single run. This is exactly the work the batched seed-sharing
-    path replaces.
+    that single run.
     """
     out = {}
     for seed in FIG8_SEEDS:
         for policy in _lineup():
-            sim = Simulator(
-                SimulationConfig.from_dict({**config.to_dict(), "seed": seed})
-            )
+            sim = Simulator(_seed_config(config, seed))
             try:
                 out[(seed, policy.name)] = sim.run(policy)
             except PolicyError:
@@ -240,26 +242,23 @@ def _run_lineup_fresh(config):
     return out
 
 
-def _run_lineup_shared(config):
-    """Same cells via one base Simulator's seed-sharing path.
+def _run_lineup_per_seed(config):
+    """Same cells, one Simulator per seed through ``run_many_outcomes``.
 
-    The base lives on the grid's first seed — exactly what the batched
-    executor does (``_simulate_payload`` builds its simulator from the
-    batch's first cell), so the base context is itself one of the
-    measured cells, not bookkeeping overhead.
+    What the serial and batched executors do with a multi-seed grid:
+    each (scenario, seed) pair is one batch — one Simulator, one
+    epoch-major pass sharing permutations, size gathers and noise
+    states across the lineup.
     """
-    base = Simulator(
-        SimulationConfig.from_dict({**config.to_dict(), "seed": FIG8_SEEDS[0]})
-    )
     out = {}
-    for policy in _lineup():
-        try:
-            for seed, result in base.run_seeds(policy, FIG8_SEEDS).items():
-                out[(seed, policy.name)] = result
-        except PolicyError:
-            for seed in FIG8_SEEDS:
-                out[(seed, policy.name)] = None
-    return out, base
+    lineup = _lineup()
+    for seed in FIG8_SEEDS:
+        outcomes = Simulator(_seed_config(config, seed)).run_many_outcomes(lineup)
+        for policy, outcome in zip(lineup, outcomes):
+            out[(seed, policy.name)] = (
+                None if isinstance(outcome, PolicyError) else outcome
+            )
+    return out
 
 
 def _best_of(fn, repeats=3):
@@ -272,63 +271,67 @@ def _best_of(fn, repeats=3):
     return best
 
 
-def test_engine_seed_sharing(report):
-    """A Fig 8-style 5-seed grid: sharing beats per-cell runs, bitwise-equal.
+def _peak_mb(fn):
+    """tracemalloc peak (MB) of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
 
-    The paper's headline figures replicate every scenario across noise
-    seeds; the batched executor folds those replicas into one worker
-    batch, where ``Simulator.run_seeds`` pays for the scenario context,
-    the dataset sizes, the shareable prepared policies and the plan
-    scalars once per seed (or once overall) instead of once per *cell*.
-    The shared path must stay bitwise-identical to per-cell execution
-    *and* finish faster.
+
+def test_engine_multi_seed(report):
+    """A Fig 8-style 5-seed grid: per-seed batches beat per-cell runs, bitwise-equal.
+
+    The executors run a multi-seed grid as one Simulator per (scenario,
+    seed), each evaluating the whole lineup in one epoch-major pass.
+    That path must stay bitwise-identical to per-cell execution *and*
+    finish faster.
     """
     config = _scenario()
     fresh = _run_lineup_fresh(config)
-    shared, base = _run_lineup_shared(config)
+    per_seed = _run_lineup_per_seed(config)
     for key in fresh:
-        a, b = fresh[key], shared[key]
+        a, b = fresh[key], per_seed[key]
         a_json = None if a is None else json.dumps(a.to_dict(), sort_keys=True)
         b_json = None if b is None else json.dumps(b.to_dict(), sort_keys=True)
-        assert a_json == b_json, f"seed-shared run diverges for {key}"
+        assert a_json == b_json, f"per-seed run diverges for {key}"
 
     fresh_s = _best_of(lambda: _run_lineup_fresh(config), repeats=5)
-    shared_s = _best_of(lambda: _run_lineup_shared(config), repeats=5)
-    speedup = fresh_s / shared_s
+    per_seed_s = _best_of(lambda: _run_lineup_per_seed(config), repeats=5)
+    fresh_mb = _peak_mb(lambda: _run_lineup_fresh(config))
+    per_seed_mb = _peak_mb(lambda: _run_lineup_per_seed(config))
+    speedup = fresh_s / per_seed_s
     cells = len(FIG8_SEEDS) * len(_lineup())
 
-    share = base.seed_share
-    scalar_hits = sum(
-        base.seed_variant(seed).plan_cache.scalar_hits for seed in FIG8_SEEDS
-    )
     report(
-        "engine_seed_sharing",
+        "engine_multi_seed",
         "\n".join(
             [
                 f"grid: {len(_lineup())} policies x {len(FIG8_SEEDS)} seeds "
                 f"on the N={NUM_WORKERS} scenario ({cells} cells)",
-                f"per-cell:     {fresh_s:7.3f}s  ({cells / fresh_s:6.2f} cells/s)",
-                f"seed-sharing: {shared_s:7.3f}s  ({cells / shared_s:6.2f} cells/s)",
+                f"per-cell: {fresh_s:7.3f}s  ({cells / fresh_s:6.2f} cells/s)  "
+                f"peak {fresh_mb:6.1f} MB",
+                f"per-seed: {per_seed_s:7.3f}s  ({cells / per_seed_s:6.2f} cells/s)  "
+                f"peak {per_seed_mb:6.1f} MB",
                 f"speedup: {speedup:.2f}x (bitwise-identical results)",
-                f"shared prepares: {share.prep_hits} hits / "
-                f"{share.prep_misses} misses across {share.variants} variants; "
-                f"plan scalars: {scalar_hits} adopted-entry hits",
             ]
         ),
     )
     assert speedup > 1.0, (
-        f"seed-sharing ({shared_s:.3f}s) must beat per-cell execution "
+        f"per-seed batches ({per_seed_s:.3f}s) must beat per-cell execution "
         f"({fresh_s:.3f}s) on a {len(FIG8_SEEDS)}-seed Fig 8-style grid"
     )
 
 
-def test_engine_seed_sharing_throughput(benchmark):
-    """Timing series for BENCH_engine.json: the 5-seed lineup through
-    one base simulator's sharing path (base construction included —
-    amortizing it is the feature under test)."""
+def test_engine_multi_seed_throughput(benchmark):
+    """Timing series for BENCH_engine.json: the 5-seed lineup, one
+    Simulator per seed (construction included)."""
     config = _scenario()
     benchmark.pedantic(
-        lambda: _run_lineup_shared(config), rounds=3, iterations=1
+        lambda: _run_lineup_per_seed(config), rounds=3, iterations=1
     )
 
 

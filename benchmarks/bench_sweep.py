@@ -9,6 +9,7 @@ one per cell), and the warm-cache hit rate (which should be 100%: a
 repeated sweep performs zero re-simulations).
 """
 
+import dataclasses
 import tempfile
 import time
 
@@ -55,29 +56,62 @@ def _multi_scenario_grid(n_scenarios: int = 6):
     return cells
 
 
-def test_executor_comparison(report):
-    """serial vs process vs batched on a multi-policy scenario grid.
+def _seed_replica_grid(seeds=(1, 2, 3)):
+    """The one-scenario Fig 8 lineup (:func:`_grid`) under several seeds."""
+    config = _grid()[0].config
+    cells = []
+    for seed in seeds:
+        cells.extend(
+            policy_cells(
+                dataclasses.replace(config, seed=seed),
+                fig8_lineup(),
+                tag_fn=lambda p, s=seed: (s, p.name),
+            )
+        )
+    return cells
 
-    The ISSUE 4 acceptance criterion: ``batched`` must beat ``process``
-    here — the process executor rebuilds the scenario's access streams
-    once per *cell* (9x per scenario for the Fig 8 lineup), batched
-    once per *scenario batch*.
-    """
-    cells = _multi_scenario_grid()
+
+def _compare_executors(cells):
+    """({executor: wall seconds}, {executor: outcome}) for one grid."""
     timings: dict[str, float] = {}
     outcomes = {}
     for executor, jobs in (("serial", 1), ("process", 2), ("batched", 2)):
         start = time.perf_counter()
         outcomes[executor] = SweepRunner(n_jobs=jobs, executor=executor).run(cells)
         timings[executor] = time.perf_counter() - start
+    return timings, outcomes
 
-    lines = [
+
+def _render(timings, outcomes):
+    return [
         f"{name:8s} {timings[name]:7.2f}s  {outcomes[name].stats.render()}"
         for name in ("serial", "process", "batched")
     ]
+
+
+def test_executor_comparison(report):
+    """serial vs process vs batched on a multi-policy scenario grid.
+
+    The ISSUE 4 acceptance criterion: ``batched`` must beat ``process``
+    here — the process executor rebuilds the scenario's access streams
+    once per *cell* (9x per scenario for the Fig 8 lineup), batched
+    once per *scenario batch*. Two more shapes are reported, not
+    asserted: the one-scenario lineup, where ``batched`` has a single
+    batch and ``process`` is the only executor using both workers, and
+    that lineup under three seeds (three batches).
+    """
+    cells = _multi_scenario_grid()
+    timings, outcomes = _compare_executors(cells)
+    lines = _render(timings, outcomes)
     lines.append(
         f"batched vs process speedup: {timings['process'] / timings['batched']:.2f}x"
     )
+    for title, shape in (
+        ("one-scenario Fig 8 lineup", _grid()),
+        ("Fig 8 lineup x 3 seeds", _seed_replica_grid()),
+    ):
+        lines.append(f"-- {title} ({len(shape)} cells, jobs=2) --")
+        lines.extend(_render(*_compare_executors(shape)))
     report("sweep_executors", "\n".join(lines))
 
     # Identical results are a hard invariant; the speedup is the point.

@@ -10,7 +10,7 @@ from .backends import KernelBackend, resolve_kernel_backend
 from .bounds import policy_lower_bound
 from .config import SimulationConfig
 from .context import ScenarioContext
-from .engine import EpochPlan, EpochTile, SeedShareStats, Simulator, analytic_lower_bound
+from .engine import EpochPlan, EpochTile, Simulator, analytic_lower_bound
 from .lockstep import LockstepResult, lockstep_epoch
 from .noise import NoiseConfig, apply_noise, apply_noise_matrix
 from .plancache import PhasePlan, PlanCache, PlanScalars
@@ -35,7 +35,6 @@ __all__ = [
     "SimulationConfig",
     "ScenarioContext",
     "Simulator",
-    "SeedShareStats",
     "KernelBackend",
     "resolve_kernel_backend",
     "EpochPlan",

@@ -52,9 +52,8 @@ cost.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -74,7 +73,6 @@ __all__ = [
     "Simulator",
     "EpochPlan",
     "EpochTile",
-    "SeedShareStats",
     "TILE_ELEMENTS",
     "analytic_lower_bound",
 ]
@@ -237,26 +235,6 @@ class EpochPlan:
             yield self.tile(slice(start, min(start + step, n)))
 
 
-@dataclass
-class SeedShareStats:
-    """Counters proving what :meth:`Simulator.run_seeds` actually shared.
-
-    ``prep_hits`` counts runs served by a prepared policy built once on
-    the base context (policies with
-    :attr:`~repro.sim.policies.base.Policy.seed_invariant_prepare`);
-    ``prep_misses`` counts runs that re-prepared — either the first
-    touch of a shareable policy or every run of a seed-dependent one.
-    ``variants`` counts the sibling simulators built (one per distinct
-    non-base seed). The plan-scalar sharing these enable is counted
-    separately on :class:`~repro.sim.plancache.PlanCache`
-    (``scalar_hits`` / ``scalar_misses``).
-    """
-
-    prep_hits: int = 0
-    prep_misses: int = 0
-    variants: int = 0
-
-
 def _result_or_raise(
     outcome: "SimulationResult | PolicyError",
 ) -> SimulationResult:
@@ -297,12 +275,6 @@ class Simulator:
         self.kernels = resolve_kernel_backend(None)
         self.ctx = ctx if ctx is not None else ScenarioContext(config)
         self.plan_cache = PlanCache(self.ctx)
-        #: Counters for the :meth:`run_seeds` sharing (see the class doc).
-        self.seed_share = SeedShareStats()
-        #: seed -> sibling simulator differing only in ``config.seed``.
-        self._seed_variants: dict[int, "Simulator"] = {}
-        #: id(policy) -> (policy, prep) for seed-invariant preparations.
-        self._shared_preps: dict[int, tuple[Policy, PreparedPolicy]] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -357,13 +329,12 @@ class Simulator:
         mid-epoch — yields that error in its slot without disturbing
         its siblings.
         """
-        slots = self._prepare_slots(policies, lambda policy: policy.prepare(self.ctx))
-        return self._run_epoch_major(slots)
+        return self._run_epoch_major(self._prepare_slots(policies))
 
     def _prepare_slots(
-        self, policies: list[Policy], prepare: Callable[[Policy], PreparedPolicy]
+        self, policies: list[Policy]
     ) -> "list[tuple[Policy, PreparedPolicy] | PolicyError]":
-        """``(policy, prepare(policy))`` per policy, or its PolicyError.
+        """``(policy, policy.prepare(ctx))`` per policy, or its PolicyError.
 
         Placement-building prepares (DeepIO, LBANN) gather epoch 0;
         holding it through the prepare phase keeps the cache-disabled
@@ -374,7 +345,7 @@ class Simulator:
         try:
             for policy in policies:
                 try:
-                    slots.append((policy, prepare(policy)))
+                    slots.append((policy, policy.prepare(self.ctx)))
                 except PolicyError as exc:
                     slots.append(exc)
         except BaseException:
@@ -426,111 +397,6 @@ class Simulator:
     def lower_bound(self) -> float:
         """:func:`analytic_lower_bound` reusing this simulator's context."""
         return analytic_lower_bound(self.config, self.ctx)
-
-    # -- seed-sharing execution ----------------------------------------------
-
-    def seed_variant(self, seed: int) -> "Simulator":
-        """A sibling simulator for the same scenario under another seed.
-
-        Variants are memoized per seed and share every seed-invariant
-        piece of this simulator's state: the same
-        :class:`~repro.datasets.DatasetModel` instance (so the
-        materialized sample-size table is built once — the dataset's
-        sizes derive from its *own* seed, not the simulation seed), the
-        kernel bundle, and — via
-        :meth:`~repro.sim.plancache.PlanCache.adopt_invariants` — the
-        plan cache's cold-class template and every already-computed
-        :class:`~repro.sim.plancache.PlanScalars`. Only the genuinely
-        seed-dependent state (epoch permutations, per-epoch size
-        gathers, noise draws) is variant-private, so results are
-        bitwise identical to a fresh ``Simulator`` on the reseeded
-        config — pinned by ``tests/sim/test_seed_sharing.py``.
-        """
-        if seed == self.config.seed:
-            return self
-        sim = self._seed_variants.get(seed)
-        if sim is None:
-            config = dataclasses.replace(self.config, seed=seed)
-            sim = Simulator(config)
-            sim.kernels = self.kernels
-            self._seed_variants[seed] = sim
-            self.seed_share.variants += 1
-        # Re-adopt on every access: scalars computed since the variant
-        # was built (a later policy's shared prep) propagate too. The
-        # merge is idempotent and keyed on prep identity, so it is safe
-        # for preps the variant prepared privately.
-        sim.plan_cache.adopt_invariants(self.plan_cache)
-        return sim
-
-    def run_seed(self, policy: Policy, seed: int) -> SimulationResult:
-        """Simulate ``policy`` under ``seed``, sharing invariant state.
-
-        The one-policy case of :meth:`run_many_seed`; raises the
-        :class:`~repro.errors.PolicyError` of an unsupported policy.
-        The result is bitwise identical to
-        ``Simulator(replace(config, seed=seed)).run(policy)``.
-        """
-        return _result_or_raise(self.run_many_seed([policy], seed)[0])
-
-    def run_seeds(
-        self, policy: Policy, seeds: Iterable[int]
-    ) -> dict[int, SimulationResult]:
-        """Simulate ``policy`` under each seed, building shared state once.
-
-        The batched form of :meth:`run_seed` — the multi-seed
-        replication the paper's Sec 7 sweeps run (same scenario, many
-        noise seeds) pays for the dataset sizes, the prepared policy
-        (when shareable) and the plan scalars once instead of once per
-        seed. Returns ``{seed: result}`` in input order; duplicate
-        seeds simulate once per occurrence (results are deterministic,
-        so the dict still holds one entry each).
-        """
-        return {seed: self.run_seed(policy, seed) for seed in seeds}
-
-    def run_many_seed(
-        self, policies: list[Policy], seed: int
-    ) -> "list[SimulationResult | PolicyError]":
-        """Epoch-major :meth:`run_many_outcomes` under another seed.
-
-        Policies declaring
-        :attr:`~repro.sim.policies.base.Policy.seed_invariant_prepare`
-        are prepared once on the base context and the prepared instance
-        is reused for every seed (counted in :attr:`seed_share`);
-        seed-dependent policies (stream rewriters, frequency-driven
-        placements) re-prepare on the variant's own context. The
-        variant simulator then runs them all through its epoch-major
-        loop, adding the cross-policy permutation/size/RNG sharing.
-        Outcomes align with ``policies``; each is bitwise identical to
-        a fresh ``Simulator(replace(config, seed=seed)).run(policy)``.
-        """
-        sim = self.seed_variant(seed)
-        slots = sim._prepare_slots(
-            policies, lambda policy: self._shared_prepare(policy, sim)
-        )
-        # Propagate the scalars of preps first shared just now.
-        if sim is not self:
-            sim.plan_cache.adopt_invariants(self.plan_cache)
-        return sim._run_epoch_major(slots)
-
-    def _shared_prepare(self, policy: Policy, sim: "Simulator") -> PreparedPolicy:
-        """``policy`` prepared for the seed variant ``sim`` (counted).
-
-        Seed-invariant preparations are built once on this (base)
-        context, their plan scalars materialized here so every variant
-        adopts them instead of recomputing per seed.
-        """
-        if not policy.seed_invariant_prepare:
-            self.seed_share.prep_misses += 1
-            return policy.prepare(sim.ctx)
-        cached = self._shared_preps.get(id(policy))
-        if cached is not None:
-            self.seed_share.prep_hits += 1
-            return cached[1]
-        self.seed_share.prep_misses += 1
-        prep = policy.prepare(self.ctx)
-        self.plan_cache.scalars(prep)
-        self._shared_preps[id(policy)] = (policy, prep)
-        return prep
 
     # -- plan phase ----------------------------------------------------------
 

@@ -4,11 +4,11 @@
 cache misses get simulated — it hands the pending cells to an executor
 and records whatever comes back. Every executor simulates through one
 function, :func:`_simulate`: given a scenario's
-:class:`~repro.sim.engine.Simulator` and a list of ``(index, policy,
-seed)`` cells, it runs each run of same-seed cells through the engine's
-epoch-major :meth:`~repro.sim.engine.Simulator.run_many_seed`, re-runs
-a crashed group one cell at a time, and returns the finished cells
-plus the failure, if any. Three executors differ only in where that
+:class:`~repro.sim.engine.Simulator` and a list of ``(index, policy)``
+cells, it runs them through the engine's epoch-major
+:meth:`~repro.sim.engine.Simulator.run_many_outcomes`, re-runs a
+crashed batch one cell at a time, and returns the finished cells plus
+the failure, if any. Three executors differ only in where that
 function runs and what each call gets:
 
 ``serial`` (:class:`SerialExecutor`)
@@ -27,12 +27,11 @@ function runs and what each call gets:
     one ``Simulator`` and runs all of that scenario's cells.
 
 ``serial`` and ``batched`` share one grouping rule,
-:func:`_scenario_batches`: cells are batched by their *seed-invariant*
-scenario fingerprint (the canonical serialized config minus ``seed``),
-so one ``Simulator`` runs all of a scenario's policies across every
-noise seed in the batch. Cells share access streams, and seed replicas
-(the paper's Sec 7 multi-seed runs) also share the dataset size
-tables, prepared policies and plan scalars.
+:func:`_scenario_batches`: cells are batched by their scenario
+fingerprint (the canonical serialized config, seed included — the seed
+fixes the whole access pattern), so one ``Simulator`` runs all of a
+scenario's policies on one set of access streams. Seed replicas of a
+scenario are separate batches.
 
 All three produce **bitwise-identical** results: the simulator is
 deterministic in the config's seed, and every sharing the engine does
@@ -135,77 +134,54 @@ class Executor(Protocol):
         ...
 
 
-def _consecutive_groups(items: Sequence, key: Callable) -> Iterator[list]:
-    """Split ``items`` into maximal runs sharing ``key(item)``."""
-    group: list = []
-    group_key = None
-    for item in items:
-        item_key = key(item)
-        if group and item_key != group_key:
-            yield group
-            group = []
-        group_key = item_key
-        group.append(item)
-    if group:
-        yield group
-
-
 #: One simulated cell in wire form: ``(index, result_dict, error, elapsed)``.
 Done = tuple[int, dict[str, Any] | None, str | None, float]
 
 
 def _simulate(
-    sim: Simulator, items: Sequence[tuple[int, Policy, int]]
+    sim: Simulator, items: Sequence[tuple[int, Policy]]
 ) -> tuple[list[Done], Exception | None]:
-    """Simulate ``(index, policy, seed)`` cells on one scenario's Simulator.
+    """Simulate ``(index, policy)`` cells on one scenario's Simulator.
 
-    The executors' one cell-simulation path. Consecutive cells sharing
-    a seed run together through the engine's epoch-major
-    :meth:`~repro.sim.engine.Simulator.run_many_seed`, which layers the
-    cross-policy permutation/size/noise-state sharing on top of the
-    seed sharing (dataset size tables, shareable prepared policies,
-    plan scalars) — bitwise identical to fresh per-cell runs either
-    way. Grouped cells report the group's mean per-cell wall time.
-    Results are serialized dicts, the representation the cache stores.
+    The executors' one cell-simulation path. The cells run together
+    through the engine's epoch-major
+    :meth:`~repro.sim.engine.Simulator.run_many_outcomes`, which shares
+    the scenario's permutations, size gathers and noise states across
+    policies — bitwise identical to fresh per-cell runs. Every cell
+    reports the batch's mean per-cell wall time. Results are serialized
+    dicts, the representation the cache stores.
 
     Returns ``(done, failure)``: on an unexpected error the cells that
     finished *before* it are returned alongside the exception, so the
-    caller can memoize them before re-raising. A group that crashes
+    caller can memoize them before re-raising. A batch that crashes
     re-runs its cells one at a time — determinism makes the re-run
     bitwise free — so a crash loses only the crashing cell's work.
     """
     done: list[Done] = []
-    for group in _consecutive_groups(items, key=lambda item: item[2]):
-        start = time.perf_counter()
-        try:
-            outcomes = sim.run_many_seed(
-                [policy for _, policy, _ in group], group[0][2]
-            )
-        except Exception as exc:  # noqa: BLE001 - recover per cell, then report
-            if len(group) > 1:
-                for item in group:
-                    cell_done, failure = _simulate(sim, [item])
-                    done.extend(cell_done)
-                    if failure is not None:
-                        return done, failure
-            return done, exc
-        elapsed = (time.perf_counter() - start) / len(group)
-        for (index, _, _), outcome in zip(group, outcomes):
-            if isinstance(outcome, PolicyError):
-                done.append((index, None, str(outcome), elapsed))
-            else:
-                done.append((index, outcome.to_dict(), None, elapsed))
+    start = time.perf_counter()
+    try:
+        outcomes = sim.run_many_outcomes([policy for _, policy in items])
+    except Exception as exc:  # noqa: BLE001 - recover per cell, then report
+        if len(items) > 1:
+            for item in items:
+                cell_done, failure = _simulate(sim, [item])
+                done.extend(cell_done)
+                if failure is not None:
+                    return done, failure
+        return done, exc
+    elapsed = (time.perf_counter() - start) / len(items)
+    for (index, _), outcome in zip(items, outcomes):
+        if isinstance(outcome, PolicyError):
+            done.append((index, None, str(outcome), elapsed))
+        else:
+            done.append((index, outcome.to_dict(), None, elapsed))
     return done, None
 
 
 def _simulate_payload(
-    payload: tuple[dict[str, Any], list[tuple[int, Policy, int]]],
+    payload: tuple[dict[str, Any], list[tuple[int, Policy]]],
 ) -> tuple[list[Done], Exception | None]:
-    """The pool entry: rebuild the config, then :func:`_simulate` (picklable).
-
-    ``config_dict`` is the batch's first cell's config; the other cells
-    may differ only in ``seed``.
-    """
+    """The pool entry: rebuild the config, then :func:`_simulate` (picklable)."""
     config_dict, items = payload
     return _simulate(Simulator(SimulationConfig.from_dict(config_dict)), items)
 
@@ -213,23 +189,20 @@ def _simulate_payload(
 def _scenario_batches(tasks: Sequence[CellTask]) -> list[list[CellTask]]:
     """Batches of tasks sharing one scenario, in first-seen order.
 
-    The key is the canonical JSON of the config dict minus ``seed``:
-    equal-but-distinct config objects share one batch, and so do seed
-    replicas of one scenario (:func:`_simulate` re-seeds per cell
-    through :meth:`~repro.sim.engine.Simulator.run_many_seed`). The
-    JSON is built once per config *object* (kept alive by its cell, so
-    ids cannot be recycled mid-loop).
+    The key is the canonical JSON of the whole config dict, seed
+    included: equal-but-distinct config objects share one batch, while
+    seed replicas of one scenario are separate batches. The JSON is
+    built once per config *object* (kept alive by its cell, so ids
+    cannot be recycled mid-loop).
     """
-    group_keys: dict[int, str] = {}  # id(cell.config) -> seedless JSON
+    group_keys: dict[int, str] = {}  # id(cell.config) -> canonical JSON
     batches: dict[str, list[CellTask]] = {}
     for task in tasks:
         config_id = id(task.cell.config)
         group_key = group_keys.get(config_id)
         if group_key is None:
             group_key = group_keys[config_id] = json.dumps(
-                {k: v for k, v in task.config_dict.items() if k != "seed"},
-                sort_keys=True,
-                separators=(",", ":"),
+                task.config_dict, sort_keys=True, separators=(",", ":")
             )
         batches.setdefault(group_key, []).append(task)
     return list(batches.values())
@@ -252,13 +225,13 @@ class SerialExecutor:
     """In-process execution with per-scenario Simulator reuse.
 
     Every scenario batch (:func:`_scenario_batches` — e.g. Fig 8's
-    nine policies on one scenario, across its noise seeds) shares one
-    Simulator and runs together through :func:`_simulate`, so the
-    scenario's permutations, size gathers and noise RNG states are
-    materialized once per epoch for the whole batch. The batch's first
-    live ``cell.config`` is simulated directly (never round-tripped
-    through its dict), so memoized per-instance state such as the
-    dataset's size table carries over.
+    nine policies on one scenario) shares one Simulator and runs
+    together through :func:`_simulate`, so the scenario's permutations,
+    size gathers and noise RNG states are materialized once per epoch
+    for the whole batch. The batch's first live ``cell.config`` is
+    simulated directly (never round-tripped through its dict), so
+    memoized per-instance state such as the dataset's size table
+    carries over — the seeds of a grid share one table.
     """
 
     name = "serial"
@@ -272,9 +245,7 @@ class SerialExecutor:
             sim = Simulator(batch[0].cell.config)
             for task in batch:
                 emit(CellStarted(tag=task.cell.tag, index=task.index))
-            done, failure = _simulate(
-                sim, [(t.index, t.cell.policy, t.cell.config.seed) for t in batch]
-            )
+            done, failure = _simulate(sim, [(t.index, t.cell.policy) for t in batch])
             by_index = {task.index: task for task in batch}
             for cell in done:
                 yield _cell_result(cell, by_index[cell[0]], emit)
@@ -311,7 +282,7 @@ class _PoolExecutorBase:
             for batch in batches:
                 payload = (
                     batch[0].config_dict,
-                    [(t.index, t.cell.policy, t.cell.config.seed) for t in batch],
+                    [(t.index, t.cell.policy) for t in batch],
                 )
                 futures[pool.submit(_simulate_payload, payload)] = batch
                 for task in batch:
@@ -376,8 +347,8 @@ class BatchedExecutor(_PoolExecutorBase):
     """Scenario-batched dispatch: one Simulator per scenario per worker.
 
     Each :func:`_scenario_batches` batch is one pool task: the worker
-    rebuilds the scenario's ``Simulator`` once and runs every
-    (policy, seed) cell in the batch through :func:`_simulate`.
+    rebuilds the scenario's ``Simulator`` once and runs every policy
+    cell in the batch through :func:`_simulate`.
     """
 
     name = "batched"

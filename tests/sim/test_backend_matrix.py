@@ -1,15 +1,13 @@
-"""Execution-path equivalence matrix: band height x seed sharing.
+"""Execution-path equivalence matrix: band height x policy spec.
 
 The execute phase's band height (forced here by shrinking
-:data:`repro.sim.engine.TILE_ELEMENTS`) and the seed-sharing
-``run_seed`` path carry a bitwise-identity contract: no combination
-may change a single simulated number. This suite pins every registered policy spec
-(canonical names plus the lineup variants) against the frozen seed
-engine (``tests/sim/reference_engine.py``) across the full knob cross
-product.
+:data:`repro.sim.engine.TILE_ELEMENTS`) carries a bitwise-identity
+contract: no band height may change a single simulated number. This
+suite pins every registered policy spec (canonical names plus the
+lineup variants) against the frozen seed engine
+(``tests/sim/reference_engine.py``), untiled and tiled.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -55,25 +53,13 @@ def reference():
     }
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["direct", "seed-shared"])
 @pytest.mark.parametrize("band_rows", [None, 3], ids=["untiled", "tiled"])
 @pytest.mark.parametrize("spec", ALL_POLICY_SPECS)
-def test_knob_matrix_bitwise_identical(reference, monkeypatch, spec, band_rows, shared):
+def test_knob_matrix_bitwise_identical(reference, monkeypatch, spec, band_rows):
     config = _config()
     if band_rows is not None:
         length = config.iterations_per_epoch * config.batch_size
         monkeypatch.setattr(engine, "TILE_ELEMENTS", band_rows * length)
     policy = make_policy(spec)
-    if shared:
-        # Reach the target seed through another scenario's simulator,
-        # exercising the shared-prep/adopted-scalars path.
-        base = Simulator(dataclasses.replace(config, seed=3))
-        try:
-            base.run(policy)  # prime the base seed's caches first
-        except PolicyError:
-            pass
-        run = lambda: base.run_seed(policy, config.seed)
-    else:
-        sim = Simulator(config)
-        run = lambda: sim.run(policy)
-    assert _outcome(run) == reference[spec]
+    sim = Simulator(config)
+    assert _outcome(lambda: sim.run(policy)) == reference[spec]

@@ -53,6 +53,17 @@ def multi_scenario_cells(config):
     )
 
 
+def _seed_replica_cells(config):
+    """Seeds 1-3 x POLICIES on ``config``'s scenario."""
+    cells = []
+    for seed in (1, 2, 3):
+        seeded = dataclasses.replace(config, seed=seed)
+        cells += policy_cells(
+            seeded, POLICIES, tag_fn=lambda p, s=seed: f"s{s}/{p.name}"
+        )
+    return cells
+
+
 class TestResolution:
     def test_default_serial_for_one_job(self):
         assert SweepRunner(n_jobs=1).executor.name == "serial"
@@ -143,27 +154,16 @@ class TestBatching:
         ]
         assert [len(b) for b in BatchedExecutor.group(tasks)] == [2]
 
-    def test_seed_replicas_fold_into_one_batch(self, config):
-        """Cells differing only in SimulationConfig.seed share a batch."""
-        cells = []
-        for seed in (1, 2, 3):
-            seeded = dataclasses.replace(config, seed=seed)
-            cells += policy_cells(
-                seeded, POLICIES, tag_fn=lambda p, s=seed: f"s{s}/{p.name}"
-            )
+    def test_seed_replicas_split_into_batches(self, config):
+        """Each (scenario, seed) pair is its own batch: the seed is in the key."""
         tasks = [
             CellTask(index=i, cell=cell, config_dict=cell.config.to_dict())
-            for i, cell in enumerate(cells)
+            for i, cell in enumerate(_seed_replica_cells(config))
         ]
-        assert [len(b) for b in BatchedExecutor.group(tasks)] == [9]
+        assert [len(b) for b in BatchedExecutor.group(tasks)] == [3, 3, 3]
 
     def test_seed_folded_batch_bitwise_identical_to_serial(self, config):
-        cells = []
-        for seed in (1, 2, 3):
-            seeded = dataclasses.replace(config, seed=seed)
-            cells += policy_cells(
-                seeded, POLICIES, tag_fn=lambda p, s=seed: f"s{s}/{p.name}"
-            )
+        cells = _seed_replica_cells(config)
         serial = SweepRunner(n_jobs=1, executor="serial").run(cells)
         batched = SweepRunner(n_jobs=2, executor="batched").run(cells)
         assert serial.results.keys() == batched.results.keys()
@@ -171,7 +171,7 @@ class TestBatching:
             assert serial[tag].to_json() == batched[tag].to_json(), tag
 
     def test_non_seed_differences_stay_separate(self, config):
-        """Only the seed is stripped from the fingerprint."""
+        """Configs differing beyond the seed stay separate too."""
         other = dataclasses.replace(config, batch_size=32, seed=99)
         cells = policy_cells(config, [NaivePolicy()]) + policy_cells(
             other, [NaivePolicy()], tag_fn=lambda p: f"b32/{p.name}"
@@ -229,6 +229,27 @@ class TestBatching:
         serial_entries = entries(tmp_path / "serial")
         assert len(serial_entries) == len(scenarios)
         assert serial_entries == entries(tmp_path / "batched")
+
+    def test_serial_builds_one_simulator_per_seed(self, config, monkeypatch):
+        """A 3-seed x 3-policy grid runs on three serial Simulators.
+
+        Each seed replica is its own batch and Simulator, building the
+        scenario's epoch permutations once (``perm_builds == E``).
+        """
+        from repro.sweep import executors
+
+        built = []
+
+        class RecordingSimulator(executors.Simulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(executors, "Simulator", RecordingSimulator)
+        cells = _seed_replica_cells(config)
+        assert SweepRunner(n_jobs=1, executor="serial").run(cells).stats.misses == 9
+        assert [sim.config.seed for sim in built] == [1, 2, 3]
+        assert [sim.ctx.perm_builds for sim in built] == [config.num_epochs] * 3
 
     def test_crash_keeps_finished_cells_of_same_batch(self, config):
         """A mid-batch crash memoizes the batch's earlier cells."""

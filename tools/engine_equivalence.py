@@ -16,13 +16,11 @@ a scaled-down MNIST scenario, so every registered policy — including
 the unsupported/PolicyError path — flows through both engines.
 
 Every production run goes through the simulator's one epoch-major
-loop; the flags change how cells enter it. By default each cell runs
-alone (``Simulator.run``). ``--share-seeds`` reaches each cell's seed
-from a base simulator on a *different* seed (``Simulator.run_seed``),
-and ``--run-many`` evaluates each scenario's cells together in one
-batch (``Simulator.run_many_outcomes`` / ``run_many_seed``). Both are
-execution knobs with a bitwise-identity contract, so the byte-diff
-must stay empty for every combination.
+loop; the flag changes how cells enter it. By default each cell runs
+alone (``Simulator.run``); ``--run-many`` evaluates each scenario's
+cells together in one batch (``Simulator.run_many_outcomes``). Both
+carry a bitwise-identity contract, so the byte-diff must stay empty
+either way.
 Pairing ``--run-many`` with a ``REPRO_PERM_CACHE_MAX_ELEMENTS=0``
 environment exercises the cache-disabled rolling-slot sharing on these
 small scenarios.
@@ -30,7 +28,6 @@ small scenarios.
 Usage::
 
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR
-    python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --share-seeds
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many
     diff -r REFERENCE_DIR ENGINE_DIR
 """
@@ -38,7 +35,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -84,15 +80,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("reference_dir", help="cache filled by the frozen seed engine")
     parser.add_argument("engine_dir", help="cache filled by the production engine")
     parser.add_argument(
-        "--share-seeds", action="store_true",
-        help="route every cell through Simulator.run_seed from a base "
-        "simulator on a different seed (the seed-sharing path)",
-    )
-    parser.add_argument(
         "--run-many", action="store_true",
         help="evaluate each scenario's cells together through the "
-        "epoch-major multi-policy path (run_many_outcomes, or "
-        "run_many_seed with --share-seeds)",
+        "epoch-major multi-policy path (run_many_outcomes)",
     )
     args = parser.parse_args(argv)
     reference_cache = ResultCache(args.reference_dir)
@@ -108,12 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         key = cell_key(config, cell.policy)
         scenario = json.dumps(config.to_dict(), sort_keys=True)
         if scenario not in simulators:
-            engine_config = config
-            if args.share_seeds:
-                # The engine simulator lives on a *different* seed; every
-                # run below reaches the cell's true seed via run_seed.
-                engine_config = dataclasses.replace(config, seed=config.seed + 1)
-            simulators[scenario] = (ReferenceSimulator(config), Simulator(engine_config))
+            simulators[scenario] = (ReferenceSimulator(config), Simulator(config))
         reference_sim, engine_sim = simulators[scenario]
 
         ref = _outcome(lambda: reference_sim.run(cell.policy))
@@ -126,10 +111,7 @@ def main(argv: list[str] | None = None) -> int:
                     if json.dumps(c.config.to_dict(), sort_keys=True) == scenario
                 ]
                 policies = [c.policy for c in peers]
-                if args.share_seeds:
-                    raw = engine_sim.run_many_seed(policies, config.seed)
-                else:
-                    raw = engine_sim.run_many_outcomes(policies)
+                raw = engine_sim.run_many_outcomes(policies)
                 batch = many_outcomes[scenario] = {
                     id(policy): (
                         CachedOutcome(result=None, error=str(outcome))
@@ -139,8 +121,6 @@ def main(argv: list[str] | None = None) -> int:
                     for policy, outcome in zip(policies, raw)
                 }
             new = batch[id(cell.policy)]
-        elif args.share_seeds:
-            new = _outcome(lambda: engine_sim.run_seed(cell.policy, config.seed))
         else:
             new = _outcome(lambda: engine_sim.run(cell.policy))
         reference_cache.put(key, ref)
